@@ -1,15 +1,11 @@
-//! `wbd` workloads: the release daemon in its own process, driven over
-//! loopback by one client thread from pre-generated request lines.
+//! The `wbd_bulk` workload: the release daemon in its own process, driven
+//! over loopback by one client thread from pre-generated request lines.
 //!
-//! * `wbd_bulk` — one session, a pipelining window of 8 requests. Rounds
-//!   of 65,536-update ingests to a `count_min` tenant (zipf, bare ints)
-//!   and an `ams_f2` tenant (churn, `[item,delta]` pairs), each round
-//!   closed by one read-your-writes `query` per tenant, so a round's time
-//!   covers apply.
-//! * `wbd_interactive` — two sessions in a closed loop, one request
-//!   outstanding each: 64-update ingests with every 8th request a `query`.
-//!   Session 0 owns the `count_min` tenant (4 shards by default, so each
-//!   query merges shards), session 1 the `ams_f2` tenant.
+//! One session with a pipelining window of 8 requests sends rounds of
+//! 65,536-update ingests to a `count_min` tenant (zipf, bare ints; 4
+//! shards by default, so each query merges shards) and an `ams_f2` tenant
+//! (churn, `[item,delta]` pairs), each round closed by one read-your-writes
+//! `query` per tenant, so a round's time covers apply.
 //!
 //! `wbd` runs with `--threads 1`, an ephemeral loopback port, and every
 //! other flag at its default. It receives only the generated lines; the
@@ -20,7 +16,7 @@
 //! `applied == accepted` and no protocol errors.
 
 use crate::replay::{self, Op, TenantLog};
-use crate::report::{best_rate, describe_rates, latency_ms, median, peak_rss_mb, Outcome};
+use crate::report::{describe_rates, fastest, median, peak_rss_mb, Outcome, Unit};
 use std::collections::VecDeque;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::TcpStream;
@@ -43,23 +39,10 @@ const READ_SIZE: usize = 1 << 16;
 /// A reply that takes longer than this counts as missing.
 const REPLY_TIMEOUT: Duration = Duration::from_secs(60);
 
-/// Request shape of a daemon workload.
-struct Shape {
-    /// Updates per ingest, per tenant.
-    batch: [usize; 2],
-    /// Distinct ingest lines pre-generated per tenant (reused cyclically).
-    pool: usize,
-}
-
-const BULK: Shape = Shape {
-    batch: [65_536, 65_536],
-    pool: 16,
-};
-
-const INTERACTIVE: Shape = Shape {
-    batch: [64, 48],
-    pool: 8_192,
-};
+/// Updates per ingest.
+const BATCH: usize = 65_536;
+/// Distinct ingest lines pre-generated per tenant (reused cyclically).
+const POOL: usize = 16;
 
 /// The tenant of each ingest in a bulk round, before the round's two
 /// queries. Three `count_min` ingests per `ams_f2` one give the tenants
@@ -69,8 +52,6 @@ const BULK_ROUND: [usize; 8] = [0, 0, 0, 1, 0, 0, 0, 1];
 
 /// Pipelining window of the bulk session.
 const BULK_WINDOW: usize = 8;
-/// Every `QUERY_EVERY`-th interactive request of a session is a query.
-const QUERY_EVERY: u64 = 8;
 
 /// The two tenants: `(id, registry algorithm)`.
 const TENANTS: [(&str, &str); 2] = [("cm", "count_min"), ("ams", "ams_f2")];
@@ -84,10 +65,9 @@ pub struct Inputs {
 }
 
 /// Generate tenant `t`'s ingest pool from the benchmark seed.
-fn generate(seed: u64, t: usize, shape: &Shape) -> Inputs {
+fn generate(seed: u64, t: usize) -> Inputs {
     let (id, _) = TENANTS[t];
-    let batch = shape.batch[t];
-    let m = (shape.pool * batch) as u64;
+    let m = (POOL * BATCH) as u64;
     let wl_seed = wb_core::rng::derive_seed(seed, &["wbbench", id, "workload"]);
     let spec = if t == 0 {
         WorkloadSpec::Zipf {
@@ -102,15 +82,15 @@ fn generate(seed: u64, t: usize, shape: &Shape) -> Inputs {
     };
     let mut source = spec.stream();
     let mut inputs = Inputs {
-        lines: Vec::with_capacity(shape.pool),
-        updates: Vec::with_capacity(shape.pool),
+        lines: Vec::with_capacity(POOL),
+        updates: Vec::with_capacity(POOL),
     };
-    let mut buf = Vec::with_capacity(batch);
-    while inputs.lines.len() < shape.pool && source.next_chunk(&mut buf) == batch {
+    let mut buf = Vec::with_capacity(BATCH);
+    while inputs.lines.len() < POOL && source.next_chunk(&mut buf) == BATCH {
         inputs.lines.push(ingest_line(id, &buf));
         inputs.updates.push(buf.clone());
     }
-    assert_eq!(inputs.lines.len(), shape.pool, "stream too short");
+    assert_eq!(inputs.lines.len(), POOL, "stream too short");
     inputs
 }
 
@@ -187,12 +167,11 @@ impl Wbd {
         self.child.id().to_string()
     }
 
-    /// Graceful drain: `shutdown` on the first session, close every
-    /// session, wait for the exit. The `final_metrics` event stays unread
-    /// in the stdout pipe, which holds it whole, so a daemon that never
-    /// exits cannot block this wait.
-    fn shutdown(mut self, mut conns: Vec<Conn>) -> Result<(), String> {
-        let conn = conns.first_mut().ok_or("no session to shut down with")?;
+    /// Graceful drain: `shutdown` on the session, close it, wait for the
+    /// exit. The `final_metrics` event stays unread in the stdout pipe,
+    /// which holds it whole, so a daemon that never exits cannot block
+    /// this wait.
+    fn shutdown(mut self, mut conn: Conn) -> Result<(), String> {
         conn.queue(b"{\"cmd\":\"shutdown\"}\n");
         let reply = conn
             .request_blocking()
@@ -200,7 +179,7 @@ impl Wbd {
         if !reply.starts_with(r#"{"ok":true"#) {
             return Err(format!("shutdown refused: {reply}"));
         }
-        drop(conns);
+        drop(conn);
         let deadline = Instant::now() + REPLY_TIMEOUT;
         loop {
             match self.child.try_wait() {
@@ -327,7 +306,7 @@ impl Conn {
             if let Some(line) = self.next_line() {
                 return Ok(line);
             }
-            poller.wait(&[(&*self, self.wants_write())])?;
+            poller.wait(self)?;
             self.fill().map_err(|e| e.to_string())?;
         }
     }
@@ -351,7 +330,7 @@ extern "C" {
 const POLLIN: std::os::raw::c_short = 0x001;
 const POLLOUT: std::os::raw::c_short = 0x004;
 
-/// `poll(2)` over client sessions, accumulating the time the client
+/// `poll(2)` on the client session, accumulating the time the client
 /// spends blocked on the daemon.
 #[derive(Default)]
 struct Poller {
@@ -359,28 +338,19 @@ struct Poller {
 }
 
 impl Poller {
-    /// Block until one of `conns` is readable (or writable, where asked).
-    fn wait(&mut self, conns: &[(&Conn, bool)]) -> Result<(), String> {
-        let mut fds: Vec<PollFd> = conns
-            .iter()
-            .map(|(c, write)| PollFd {
-                fd: c.stream.as_raw_fd(),
-                events: POLLIN | if *write { POLLOUT } else { 0 },
-                revents: 0,
-            })
-            .collect();
-        let t = Instant::now();
-        // SAFETY: `fds` is a live, exclusively borrowed array of
-        // `fds.len()` `struct pollfd`-layout entries whose descriptors stay
-        // open for the call (each is owned by a borrowed `Conn`); poll only
-        // writes the `revents` fields within that array.
-        let ready = unsafe {
-            poll(
-                fds.as_mut_ptr(),
-                fds.len() as std::os::raw::c_ulong,
-                REPLY_TIMEOUT.as_millis() as std::os::raw::c_int,
-            )
+    /// Block until `conn` is readable (or, when it has bytes queued,
+    /// writable).
+    fn wait(&mut self, conn: &Conn) -> Result<(), String> {
+        let mut fd = PollFd {
+            fd: conn.stream.as_raw_fd(),
+            events: POLLIN | if conn.wants_write() { POLLOUT } else { 0 },
+            revents: 0,
         };
+        let t = Instant::now();
+        // SAFETY: `fd` is a live, exclusively borrowed `struct pollfd`
+        // whose descriptor stays open for the call (it is owned by the
+        // borrowed `Conn`); poll only writes its `revents` field.
+        let ready = unsafe { poll(&mut fd, 1, REPLY_TIMEOUT.as_millis() as std::os::raw::c_int) };
         self.waited += t.elapsed();
         match ready {
             0 => Err(format!("no reply within {REPLY_TIMEOUT:?}")),
@@ -405,9 +375,8 @@ impl Poller {
 struct Timed {
     ingest_ns: Vec<u64>,
     query_ns: Vec<u64>,
-    /// Updates per second of each round (bulk) or time slice
-    /// (interactive).
-    rates: Vec<f64>,
+    /// Rounds, in order.
+    units: Vec<Unit>,
     wall: Duration,
     waited: Duration,
     sent: u64,
@@ -472,7 +441,6 @@ fn acked(reply: &str) -> Option<usize> {
 fn settle(
     reply: &str,
     req: InFlight,
-    shape: &Shape,
     logs: &mut [TenantLog; 2],
     timed: &mut Timed,
     out: &mut Outcome,
@@ -482,7 +450,7 @@ fn settle(
     match req.line {
         Some(line) => {
             timed.ingest_ns.push(ns);
-            if acked(reply) == Some(shape.batch[req.tenant]) {
+            if acked(reply) == Some(BATCH) {
                 log.ops.push(Op::Ingest(line));
             } else {
                 out.fail(format!("ingest to {}: {reply}", log.id));
@@ -507,13 +475,12 @@ fn drive_bulk(
     logs: &mut [TenantLog; 2],
     out: &mut Outcome,
 ) -> Result<Timed, String> {
-    let shape = &BULK;
     let mut timed = Timed::default();
     let mut poller = Poller::default();
     let mut traffic = Traffic::new(inputs);
-    let round_updates: usize = BULK_ROUND.iter().map(|&t| shape.batch[t]).sum();
+    let round_updates = BULK_ROUND.len() * BATCH;
     let start = Instant::now();
-    while timed.rates.is_empty() || start.elapsed().as_secs_f64() < seconds {
+    while timed.units.is_empty() || start.elapsed().as_secs_f64() < seconds {
         let round_start = Instant::now();
         let mut pending: VecDeque<InFlight> = VecDeque::new();
         let mut todo = BULK_ROUND
@@ -531,121 +498,43 @@ fn drive_bulk(
             let mut got = false;
             while let Some(reply) = conn.next_line() {
                 let req = pending.pop_front().ok_or("reply without a request")?;
-                settle(&reply, req, shape, logs, &mut timed, out);
+                settle(&reply, req, logs, &mut timed, out);
                 got = true;
             }
             if !got {
-                poller.wait(&[(&*conn, conn.wants_write())])?;
+                poller.wait(conn)?;
                 conn.fill().map_err(|e| format!("receive: {e}"))?;
             }
         }
         timed.updates += round_updates as u64;
-        timed
-            .rates
-            .push(round_updates as f64 / round_start.elapsed().as_secs_f64());
+        timed.units.push(Unit {
+            rate: round_updates as f64 / round_start.elapsed().as_secs_f64(),
+            ingest_end: timed.ingest_ns.len(),
+            query_end: timed.query_ns.len(),
+        });
     }
     timed.wall = start.elapsed();
     timed.waited = poller.waited;
-    Ok(timed)
-}
-
-/// `wbd_interactive`: two closed-loop sessions, one request outstanding
-/// each, for `seconds`; then one final query per tenant.
-fn drive_interactive(
-    conns: &mut [Conn],
-    inputs: &[Inputs; 2],
-    seconds: f64,
-    logs: &mut [TenantLog; 2],
-    out: &mut Outcome,
-) -> Result<Timed, String> {
-    let shape = &INTERACTIVE;
-    let mut timed = Timed::default();
-    let mut poller = Poller::default();
-    let mut traffic = Traffic::new(inputs);
-    let slice = (seconds / 40.0).clamp(0.1, 1.0);
-    let mut sent = [0u64; 2];
-    let mut inflight: [Option<InFlight>; 2] = [None, None];
-    let start = Instant::now();
-    let (mut slice_start, mut slice_updates) = (start, 0u64);
-
-    let mut send = |t: usize, conn: &mut Conn, timed: &mut Timed| -> InFlight {
-        sent[t] += 1;
-        traffic.enqueue(conn, t, sent[t] % QUERY_EVERY != 0, timed)
-    };
-    for t in 0..2 {
-        inflight[t] = Some(send(t, &mut conns[t], &mut timed));
-    }
-    while inflight.iter().any(Option::is_some) {
-        let running = start.elapsed().as_secs_f64() < seconds;
-        for conn in conns.iter_mut() {
-            conn.flush().map_err(|e| format!("send: {e}"))?;
-        }
-        let mut got = false;
-        for t in 0..2 {
-            while let Some(reply) = conns[t].next_line() {
-                let req = inflight[t].take().ok_or("reply without a request")?;
-                if req.line.is_some() {
-                    slice_updates += shape.batch[t] as u64;
-                    timed.updates += shape.batch[t] as u64;
-                }
-                settle(&reply, req, shape, logs, &mut timed, out);
-                if running {
-                    inflight[t] = Some(send(t, &mut conns[t], &mut timed));
-                }
-                got = true;
-            }
-        }
-        let now = Instant::now();
-        if running && (now - slice_start).as_secs_f64() >= slice {
-            timed
-                .rates
-                .push(slice_updates as f64 / (now - slice_start).as_secs_f64());
-            (slice_start, slice_updates) = (now, 0);
-        }
-        if !got {
-            let waiting: Vec<(&Conn, bool)> = (0..2)
-                .filter(|&t| inflight[t].is_some())
-                .map(|t| (&conns[t], conns[t].wants_write()))
-                .collect();
-            poller.wait(&waiting)?;
-            for t in 0..2 {
-                if inflight[t].is_some() {
-                    conns[t].fill().map_err(|e| format!("receive: {e}"))?;
-                }
-            }
-        }
-    }
-    timed.wall = start.elapsed();
-    timed.waited = poller.waited;
-    // The run ends with one read-your-writes query per tenant.
-    for (t, conn) in conns.iter_mut().enumerate() {
-        let req = traffic.enqueue(conn, t, false, &mut timed);
-        let reply = conn.request_blocking()?;
-        settle(&reply, req, shape, logs, &mut Timed::default(), out);
-    }
     Ok(timed)
 }
 
 // ---------------------------------------------------------------------------
 // The workload
 
-/// Start `wbd`, open `sessions` sessions and greet every tenant. Returns
-/// the daemon, its sessions and the elapsed set-up time.
-fn set_up(wbd: &Path, sessions: usize, seed: u64) -> Result<(Wbd, Vec<Conn>, f64), String> {
+/// Start `wbd`, open a session and greet every tenant. Returns the
+/// daemon, its session and the elapsed set-up time.
+fn set_up(wbd: &Path, seed: u64) -> Result<(Wbd, Conn, f64), String> {
     let t0 = Instant::now();
     let daemon = Wbd::spawn(wbd)?;
-    let mut conns = (0..sessions)
-        .map(|_| Conn::connect(&daemon.addr))
-        .collect::<Result<Vec<_>, _>>()?;
-    for (t, (id, alg)) in TENANTS.iter().enumerate() {
-        let conn = &mut conns[t % sessions];
+    let mut conn = Conn::connect(&daemon.addr)?;
+    for (id, alg) in TENANTS {
         conn.queue(hello_line(id, alg, seed_base(seed)).as_bytes());
         let reply = conn.request_blocking()?;
         if !reply.starts_with(r#"{"ok":true"#) {
             return Err(format!("hello {id}: {reply}"));
         }
     }
-    Ok((daemon, conns, t0.elapsed().as_secs_f64()))
+    Ok((daemon, conn, t0.elapsed().as_secs_f64()))
 }
 
 /// Daemon counters read through `metrics` after the timed window.
@@ -709,69 +598,54 @@ fn read_metrics(conn: &mut Conn, out: &mut Outcome, traced: bool) -> Result<(), 
     Ok(())
 }
 
-/// Run a daemon workload for `seconds`; with `traced`, also replay its
-/// requests in process with a timer around each layer's call.
-pub fn run(
-    wbd: &Path,
-    workload: &str,
-    seed: u64,
-    seconds: f64,
-    traced: bool,
-) -> Result<Outcome, String> {
-    let interactive = match workload {
-        "wbd_bulk" => false,
-        "wbd_interactive" => true,
-        other => return Err(format!("unknown daemon workload {other}")),
-    };
-    let shape = if interactive { &INTERACTIVE } else { &BULK };
-    let sessions = if interactive { 2 } else { 1 };
-    let inputs = [generate(seed, 0, shape), generate(seed, 1, shape)];
+/// Run `wbd_bulk` for `seconds`; with `traced`, also replay its requests
+/// in process with a timer around each layer's call.
+pub fn run(wbd: &Path, seed: u64, seconds: f64, traced: bool) -> Result<Outcome, String> {
+    let inputs = [generate(seed, 0), generate(seed, 1)];
     let mut out = Outcome::default();
 
     let mut setups = Vec::with_capacity(SETUPS);
     let mut live = None;
     for i in 0..SETUPS {
-        let (daemon, conns, secs) = set_up(wbd, sessions, seed)?;
+        let (daemon, conn, secs) = set_up(wbd, seed)?;
         setups.push(secs);
         if i + 1 < SETUPS {
-            daemon.shutdown(conns)?;
+            daemon.shutdown(conn)?;
         } else {
-            live = Some((daemon, conns));
+            live = Some((daemon, conn));
         }
     }
-    let (daemon, mut conns) = live.expect("at least one set-up");
-    let fastest = setups.iter().copied().fold(f64::INFINITY, f64::min);
+    let (daemon, mut conn) = live.expect("at least one set-up");
+    let quickest = setups.iter().copied().fold(f64::INFINITY, f64::min);
     let slowest = setups.iter().copied().fold(0.0, f64::max);
     eprintln!(
         "wbbench: {SETUPS} start-ups: fastest {:.3} ms, median {:.3} ms, slowest {:.3} ms",
-        fastest * 1e3,
+        quickest * 1e3,
         median(&setups) * 1e3,
         slowest * 1e3
     );
     let mut logs = TENANTS.map(|(id, alg)| TenantLog::new(id, alg));
-    let timed = if interactive {
-        drive_interactive(&mut conns, &inputs, seconds, &mut logs, &mut out)
-    } else {
-        drive_bulk(&mut conns[0], &inputs, seconds, &mut logs, &mut out)
-    }?;
+    let timed = drive_bulk(&mut conn, &inputs, seconds, &mut logs, &mut out)?;
     out.attempted = timed.sent;
-    read_metrics(&mut conns[0], &mut out, traced)?;
+    read_metrics(&mut conn, &mut out, traced)?;
     let rss = peak_rss_mb(&daemon.pid()).ok_or("cannot read wbd VmHWM")?;
-    daemon.shutdown(conns)?;
+    daemon.shutdown(conn)?;
 
-    let mut timed = timed;
-    let (ingest_p50, ingest_p99) = latency_ms(&mut timed.ingest_ns);
-    let (query_p50, query_p99) = latency_ms(&mut timed.query_ns);
+    let fast = fastest(&timed.units, &timed.ingest_ns, &timed.query_ns);
     out.set("setup_s", median(&setups));
-    out.set("throughput_mups", best_rate(&timed.rates) / 1e6);
-    eprintln!("wbbench: rates: {}", describe_rates(&timed.rates));
-    out.set("ingest_p50_ms", ingest_p50);
-    out.set("ingest_p99_ms", ingest_p99);
-    out.set("query_p50_ms", query_p50);
-    out.set("query_p99_ms", query_p99);
+    out.set("throughput_mups", fast.rate / 1e6);
+    eprintln!(
+        "wbbench: rates: {}; the fastest {} give the end-to-end metrics",
+        describe_rates(&timed.units),
+        fast.units
+    );
+    out.set("ingest_p50_ms", fast.ingest_ms.0);
+    out.set("ingest_p99_ms", fast.ingest_ms.1);
+    out.set("query_p50_ms", fast.query_ms.0);
+    out.set("query_p99_ms", fast.query_ms.1);
     out.set("peak_rss_mb", rss);
-    out.set("latency.ingest_samples", timed.ingest_ns.len() as f64);
-    out.set("latency.query_samples", timed.query_ns.len() as f64);
+    out.set("latency.ingest_samples", fast.ingest_samples as f64);
+    out.set("latency.query_samples", fast.query_samples as f64);
     let wall = timed.wall.as_secs_f64();
     let wait_frac = timed.waited.as_secs_f64() / wall;
     out.set("loadgen.wait_frac", wait_frac);
@@ -780,7 +654,7 @@ pub fn run(
         timed.bytes as f64 / timed.updates as f64,
     );
     eprintln!(
-        "wbbench: {workload}: {} requests, {} updates in {wall:.3} s; client waited {:.1}% of it",
+        "wbbench: wbd_bulk: {} requests, {} updates in {wall:.3} s; client waited {:.1}% of it",
         timed.sent,
         timed.updates,
         100.0 * wait_frac

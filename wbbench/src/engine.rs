@@ -11,8 +11,12 @@
 //! The traced pass replays the same cycles with the body of
 //! `run_source_erased` written out and a timer around each public call,
 //! and checks that every traced report equals its untraced twin.
+//!
+//! Both passes read every span from the bench thread's CPU-time clock
+//! ([`CpuInstant`]); only the length of the untraced pass is wall time.
 
-use crate::report::{best_rate, describe_rates, latency_ms, median, peak_rss_mb, Outcome};
+use crate::clock::CpuInstant;
+use crate::report::{describe_rates, fastest, median, peak_rss_mb, Fastest, Outcome, Unit};
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::hint::black_box;
@@ -39,8 +43,6 @@ const N: u64 = 1 << 12;
 /// The stream generator a cell pulls from.
 #[derive(Clone, Copy)]
 enum Stream {
-    /// Zipf over `[0, N)` with a 64-item head.
-    Zipf,
     /// The tournament's `cycle` workload (8 items round-robin).
     Cycle,
     /// The tournament's `churn` workload (insert/delete waves).
@@ -50,13 +52,6 @@ enum Stream {
 /// One algorithm of a workload: registry key, stream, stream length.
 type CellShape = (&'static str, Stream, u64);
 
-/// `engine_hh`: the insert-only heavy-hitter kernels on zipf traffic.
-const ENGINE_HH: &[CellShape] = &[
-    ("misra_gries", Stream::Zipf, 1 << 20),
-    ("count_min", Stream::Zipf, 1 << 21),
-    ("space_saving", Stream::Zipf, 1 << 19),
-];
-
 /// `engine_tail`: the slow cryptographic and randomized tail.
 const ENGINE_TAIL: &[CellShape] = &[
     ("phi_eps_hh", Stream::Cycle, 1 << 16),
@@ -64,14 +59,15 @@ const ENGINE_TAIL: &[CellShape] = &[
     ("robust_hh", Stream::Cycle, 1 << 17),
 ];
 
-/// Kernels whose `process_batch` aggregates the chunk with
-/// `RunAggregator`; the traced pass replays the aggregation on their
-/// chunks.
-const AGGREGATING: &[&str] = &["count_min", "sis_l0"];
+/// The kernel whose `process_batch` aggregates the chunk with
+/// `RunAggregator` (over `i128` deltas); the traced pass replays the
+/// aggregation on its chunks.
+const AGGREGATING: &str = "sis_l0";
 
 /// Latency samples per second of run the untraced pass preallocates for
-/// (one per chunk; the fastest cycle today runs about 5,000 chunks/s).
-const SAMPLES_PER_SEC: f64 = 12_500.0;
+/// (one per chunk; `engine_tail` runs about 400 chunks/s today, so the
+/// buffers hold a tenfold speed-up without growing).
+const SAMPLES_PER_SEC: f64 = 4_000.0;
 
 /// Updates per chunk whose Pedersen digest and `pow_mod` the traced pass
 /// replays on `phi_eps_hh` cells (`mul_mod` is replayed on every update).
@@ -85,7 +81,6 @@ pub fn is_engine(workload: &str) -> bool {
 /// Cell shapes of an engine workload, or `None` for other names.
 fn shapes(workload: &str) -> Option<&'static [CellShape]> {
     match workload {
-        "engine_hh" => Some(ENGINE_HH),
         "engine_tail" => Some(ENGINE_TAIL),
         _ => None,
     }
@@ -108,12 +103,6 @@ impl CellPlan {
         params.m_guess = m;
         let wl_seed = role("workload");
         let spec = match stream {
-            Stream::Zipf => WorkloadSpec::Zipf {
-                n: N,
-                m,
-                heavy: 64,
-                seed: wl_seed,
-            },
             Stream::Cycle => workload_spec("cycle", N, m, wl_seed).expect("known workload"),
             Stream::Churn => workload_spec("churn", N, m, wl_seed).expect("known workload"),
         };
@@ -160,7 +149,7 @@ impl DynStreamAlg for IngestProbe<'_> {
         updates: &[Update],
         rng: &mut TranscriptRng,
     ) -> Result<(), WbError> {
-        let t = Instant::now();
+        let t = CpuInstant::now();
         let r = self.inner.process_batch_dyn(updates, rng);
         self.ingest_ns.push(t.elapsed().as_nanos() as u64);
         r
@@ -204,7 +193,7 @@ impl DynStreamAlg for IngestProbe<'_> {
 /// the engine's checked answer to that chunk.
 struct VerdictProbe<'a> {
     inner: &'a mut dyn DynReferee,
-    arrived: Option<Instant>,
+    arrived: Option<CpuInstant>,
     verdict_ns: Vec<u64>,
 }
 
@@ -214,7 +203,7 @@ impl DynReferee for VerdictProbe<'_> {
     }
 
     fn observe_batch(&mut self, updates: &[Update]) {
-        self.arrived = Some(Instant::now());
+        self.arrived = Some(CpuInstant::now());
         self.inner.observe_batch(updates)
     }
 
@@ -239,8 +228,11 @@ impl DynReferee for VerdictProbe<'_> {
 #[derive(Default)]
 struct Untraced {
     setup_per_cycle: Vec<f64>,
-    /// Updates per second of each cycle's games.
-    rate_per_cycle: Vec<f64>,
+    /// Each cycle's games as a unit (rate only).
+    cycles: Vec<Unit>,
+    /// Each algorithm's cells as units over its latency samples, in
+    /// shape order.
+    cells: Vec<Vec<Unit>>,
     game: Duration,
     /// Game time and updates per algorithm, for the time shares.
     game_per_alg: BTreeMap<&'static str, (Duration, u64)>,
@@ -256,7 +248,7 @@ fn untraced_cell(
     slot: usize,
     acc: &mut Untraced,
 ) -> Result<(CellResult, Duration), WbError> {
-    let t0 = Instant::now();
+    let t0 = CpuInstant::now();
     let mut alg = registry::get(plan.alg, &plan.params)?;
     let mut referee = referee_for(plan.alg, &plan.params).build();
     let setup = t0.elapsed();
@@ -270,7 +262,7 @@ fn untraced_cell(
         arrived: None,
         verdict_ns: std::mem::take(&mut acc.query_ns[slot]),
     };
-    let g0 = Instant::now();
+    let g0 = CpuInstant::now();
     let played = run_source_erased(
         &mut ingest,
         &mut source,
@@ -284,6 +276,11 @@ fn untraced_cell(
     (*time, *updates) = (*time + game, *updates + plan.spec.len());
     acc.ingest_ns[slot] = ingest.ingest_ns;
     acc.query_ns[slot] = verdict.verdict_ns;
+    acc.cells[slot].push(Unit {
+        rate: plan.spec.len() as f64 / game.as_secs_f64(),
+        ingest_end: acc.ingest_ns[slot].len(),
+        query_end: acc.query_ns[slot].len(),
+    });
     let report = played?;
     Ok((
         CellResult {
@@ -296,7 +293,7 @@ fn untraced_cell(
 }
 
 /// Accumulators of the traced pass: busy time per layer, and the
-/// replays that run beside the loop and are kept out of its wall time.
+/// replays that run beside the loop and are kept out of its time.
 #[derive(Default)]
 struct Traced {
     gen: Duration,
@@ -316,7 +313,7 @@ struct Traced {
 
 /// Play one cell with the loop of `run_source_erased` written out and a
 /// timer around each public call. The aggregator and crypto replays run
-/// between chunks and are subtracted from the loop's wall time.
+/// between chunks and are subtracted from the loop's time.
 fn traced_cell(plan: &CellPlan, tr: &mut Traced) -> Result<CellResult, WbError> {
     let mut alg = registry::get(plan.alg, &plan.params)?;
     let mut referee = referee_for(plan.alg, &plan.params).build();
@@ -325,13 +322,12 @@ fn traced_cell(plan: &CellPlan, tr: &mut Traced) -> Result<CellResult, WbError> 
         .as_any()
         .downcast_ref::<PhiEpsHeavyHitters>()
         .map(|a| *a.crhf());
-    let aggregating = AGGREGATING.contains(&plan.alg);
-    let mut agg_u64: RunAggregator<u64> = RunAggregator::new();
-    let mut agg_i128: RunAggregator<i128> = RunAggregator::new();
+    let aggregating = plan.alg == AGGREGATING;
+    let mut aggregator: RunAggregator<i128> = RunAggregator::new();
     let mut kernel = Duration::ZERO;
     let mut replay = Duration::ZERO;
 
-    let wall = Instant::now();
+    let wall = CpuInstant::now();
     let mut rng = TranscriptRng::from_seed(plan.game_seed);
     let expected_checks = source
         .len_hint()
@@ -340,39 +336,34 @@ fn traced_cell(plan: &CellPlan, tr: &mut Traced) -> Result<CellResult, WbError> 
     let mut buf: Vec<Update> = Vec::with_capacity(CHUNK);
     let mut t = 0u64;
     loop {
-        let t0 = Instant::now();
+        let t0 = CpuInstant::now();
         let got = source.next_chunk(&mut buf);
-        let t1 = Instant::now();
+        let t1 = CpuInstant::now();
         tr.gen += t1 - t0;
         if got == 0 {
             break;
         }
         referee.observe_batch(&buf);
-        let t2 = Instant::now();
+        let t2 = CpuInstant::now();
         tr.observe += t2 - t1;
         alg.process_batch_dyn(&buf, &mut rng)?;
-        let t3 = Instant::now();
+        let t3 = CpuInstant::now();
         kernel += t3 - t2;
         t += buf.len() as u64;
         let space = alg.space_bits_dyn();
         let answer = alg.query_dyn();
-        let t4 = Instant::now();
+        let t4 = CpuInstant::now();
         tr.query += t4 - t3;
         let verdict = referee.check(t, &answer);
-        let t5 = Instant::now();
+        let t5 = CpuInstant::now();
         tr.check += t5 - t4;
         report.record_check(t, space, &verdict);
         tr.checks += 1;
 
-        let r0 = Instant::now();
+        let r0 = CpuInstant::now();
         if aggregating {
-            let runs = if plan.alg == "sis_l0" {
-                let pairs = buf.iter().map(|u| (u.item(), i128::from(u.delta())));
-                agg_i128.aggregate(pairs, buf.len()).len()
-            } else {
-                let pairs = buf.iter().map(|u| (u.item(), 1u64));
-                agg_u64.aggregate(pairs, buf.len()).len()
-            };
+            let pairs = buf.iter().map(|u| (u.item(), i128::from(u.delta())));
+            let runs = aggregator.aggregate(pairs, buf.len()).len();
             tr.aggregate += r0.elapsed();
             tr.aggregated += buf.len() as u64;
             tr.runs += runs as u64;
@@ -402,22 +393,22 @@ fn traced_cell(plan: &CellPlan, tr: &mut Traced) -> Result<CellResult, WbError> 
 fn replay_crypto(md: &wb_crypto::crhf::PedersenMd, buf: &[Update], tr: &mut Traced) {
     let p = md.inner().params();
     let sample = &buf[..buf.len().min(CRYPTO_SAMPLE)];
-    let c0 = Instant::now();
+    let c0 = CpuInstant::now();
     let digests: Vec<u64> = sample
         .iter()
         .map(|u| black_box(md.hash_words(&[u.item()])))
         .collect();
-    let c1 = Instant::now();
+    let c1 = CpuInstant::now();
     for &d in &digests {
         black_box(pow_mod(p.g, d % p.q, p.p));
     }
-    let c2 = Instant::now();
+    let c2 = CpuInstant::now();
     let mut acc = 1u64;
     for u in buf {
         acc = mul_mod(acc, u.item() + p.g, p.p);
     }
     black_box(acc);
-    let c3 = Instant::now();
+    let c3 = CpuInstant::now();
     tr.digest.0 += c1 - c0;
     tr.digest.1 += sample.len() as u64;
     tr.pow.0 += c2 - c1;
@@ -434,19 +425,26 @@ fn touched(cap: usize) -> Vec<u64> {
     v
 }
 
-/// `(p50, p99)` of an engine latency: each algorithm's percentiles
-/// (see [`latency_ms`]), averaged over the workload's algorithms. Chunk
-/// latencies of different algorithms differ by up to 10×, so a pooled
-/// median falls at the edge between two algorithms' ranges and jumps
-/// with their mix; each algorithm's own percentiles do not.
-fn mean_latency_ms(per_alg: &mut [Vec<u64>]) -> (f64, f64) {
-    let algs = per_alg.len() as f64;
-    per_alg
-        .iter_mut()
-        .map(|samples| latency_ms(samples))
-        .fold((0.0, 0.0), |(a, b), (p50, p99)| {
-            (a + p50 / algs, b + p99 / algs)
-        })
+/// The end-to-end estimates of an engine run (see [`fastest`]): the rate
+/// of the fastest cycles, and the latencies of each algorithm's fastest
+/// cells averaged over the workload's algorithms. Chunk latencies of
+/// different algorithms differ by up to 10×, so pooled percentiles would
+/// fall at the edge between two algorithms' ranges and jump with their
+/// mix; each algorithm's own percentiles do not.
+fn fastest_engine(acc: &Untraced) -> Fastest {
+    let per_alg: Vec<Fastest> = (0..acc.cells.len())
+        .map(|slot| fastest(&acc.cells[slot], &acc.ingest_ns[slot], &acc.query_ns[slot]))
+        .collect();
+    let mean = |f: fn(&Fastest) -> f64| per_alg.iter().map(f).sum::<f64>() / per_alg.len() as f64;
+    let cycles = fastest(&acc.cycles, &[], &[]);
+    Fastest {
+        units: cycles.units,
+        rate: cycles.rate,
+        ingest_ms: (mean(|f| f.ingest_ms.0), mean(|f| f.ingest_ms.1)),
+        query_ms: (mean(|f| f.query_ms.0), mean(|f| f.query_ms.1)),
+        ingest_samples: per_alg.iter().map(|f| f.ingest_samples).sum(),
+        query_samples: per_alg.iter().map(|f| f.query_samples).sum(),
+    }
 }
 
 fn ns_per_call((total, calls): (Duration, u64)) -> f64 {
@@ -473,6 +471,7 @@ pub fn run(workload: &str, seed: u64, seconds: f64, traced: bool) -> Outcome {
         .map(|s| (seconds * SAMPLES_PER_SEC * chunks(s) / per_cycle) as usize + 1)
         .collect();
     let mut acc = Untraced {
+        cells: vec![Vec::new(); shapes.len()],
         ingest_ns: caps.iter().map(|&c| touched(c)).collect(),
         query_ns: caps.iter().map(|&c| touched(c)).collect(),
         ..Untraced::default()
@@ -509,26 +508,30 @@ pub fn run(workload: &str, seed: u64, seconds: f64, traced: bool) -> Outcome {
         }
         let game = (acc.game - game_before).as_secs_f64();
         acc.setup_per_cycle.push(setup);
-        acc.rate_per_cycle.push(updates as f64 / game);
+        acc.cycles.push(Unit {
+            rate: updates as f64 / game,
+            ..Unit::default()
+        });
         cycles += 1;
     }
     let untraced_wall = acc.game.as_secs_f64();
-    let (ingest_p50, ingest_p99) = mean_latency_ms(&mut acc.ingest_ns);
-    let (query_p50, query_p99) = mean_latency_ms(&mut acc.query_ns);
+    // Read before the estimates copy samples, which the run itself did not hold.
+    let rss = peak_rss_mb("self").expect("VmHWM in /proc/self/status");
+    let fast = fastest_engine(&acc);
     out.set("setup_s", median(&acc.setup_per_cycle));
-    out.set("throughput_mups", best_rate(&acc.rate_per_cycle) / 1e6);
-    eprintln!("wbbench: rates: {}", describe_rates(&acc.rate_per_cycle));
-    out.set("ingest_p50_ms", ingest_p50);
-    out.set("ingest_p99_ms", ingest_p99);
-    out.set("query_p50_ms", query_p50);
-    out.set("query_p99_ms", query_p99);
-    out.set(
-        "peak_rss_mb",
-        peak_rss_mb("self").expect("VmHWM in /proc/self/status"),
+    out.set("throughput_mups", fast.rate / 1e6);
+    eprintln!(
+        "wbbench: cycle rates: {}; the fastest {} give the rate",
+        describe_rates(&acc.cycles),
+        fast.units
     );
-    let count = |v: &[Vec<u64>]| v.iter().map(Vec::len).sum::<usize>() as f64;
-    out.set("latency.ingest_samples", count(&acc.ingest_ns));
-    out.set("latency.query_samples", count(&acc.query_ns));
+    out.set("ingest_p50_ms", fast.ingest_ms.0);
+    out.set("ingest_p99_ms", fast.ingest_ms.1);
+    out.set("query_p50_ms", fast.query_ms.0);
+    out.set("query_p99_ms", fast.query_ms.1);
+    out.set("peak_rss_mb", rss);
+    out.set("latency.ingest_samples", fast.ingest_samples as f64);
+    out.set("latency.query_samples", fast.query_samples as f64);
     let shares: Vec<String> = acc
         .game_per_alg
         .iter()
@@ -614,9 +617,6 @@ pub fn run(workload: &str, seed: u64, seconds: f64, traced: bool) -> Outcome {
 
 fn kernel_metric(alg: &str) -> &'static str {
     match alg {
-        "misra_gries" => "sketch.kernel_s.misra_gries",
-        "count_min" => "sketch.kernel_s.count_min",
-        "space_saving" => "sketch.kernel_s.space_saving",
         "phi_eps_hh" => "sketch.kernel_s.phi_eps_hh",
         "sis_l0" => "sketch.kernel_s.sis_l0",
         "robust_hh" => "sketch.kernel_s.robust_hh",

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release --manifest-path wbbench/Cargo.toml -- \
-//!     --workload engine_hh|engine_tail|wbd_bulk|wbd_interactive \
+//!     --workload engine_tail|wbd_bulk \
 //!     --seed N --seconds S --trace 0|1
 //! ```
 //!
@@ -16,6 +16,7 @@
 //! of an untraced pass of half that length. Any correctness mismatch
 //! exits non-zero.
 
+mod clock;
 mod daemon;
 mod engine;
 mod replay;
@@ -24,7 +25,7 @@ mod report;
 use std::path::PathBuf;
 use std::process::{Command, ExitCode, Stdio};
 
-const WORKLOADS: &[&str] = &["engine_hh", "engine_tail", "wbd_bulk", "wbd_interactive"];
+const WORKLOADS: &[&str] = &["engine_tail", "wbd_bulk"];
 
 struct Args {
     workload: String,
@@ -144,7 +145,7 @@ fn main() -> ExitCode {
     let outcome = if engine::is_engine(&args.workload) {
         engine::run(&args.workload, args.seed, seconds, args.trace)
     } else {
-        match daemon::run(&wbd, &args.workload, args.seed, seconds, args.trace) {
+        match daemon::run(&wbd, args.seed, seconds, args.trace) {
             Ok(outcome) => outcome,
             Err(e) => {
                 eprintln!("wbbench: {}: {e}", args.workload);

@@ -24,9 +24,6 @@ pub const PER_LAYER: &[(&str, &str)] = &[
     ("workload.gen_s", "s"),
     ("core.aggregate_s", "s"),
     ("core.distinct_ratio", "ratio"),
-    ("sketch.kernel_s.misra_gries", "s"),
-    ("sketch.kernel_s.count_min", "s"),
-    ("sketch.kernel_s.space_saving", "s"),
     ("sketch.kernel_s.phi_eps_hh", "s"),
     ("sketch.kernel_s.sis_l0", "s"),
     ("sketch.kernel_s.robust_hh", "s"),
@@ -148,18 +145,75 @@ pub fn median(xs: &[f64]) -> f64 {
     }
 }
 
-/// Best-unit rate: the fastest of a run's units (engine cycles, bulk
-/// rounds, interactive time slices). Interference from outside the
-/// benchmark only ever slows a unit down, so the fastest unit is the
-/// least contaminated estimate — the fastest-of-N rule the engine's
-/// `BENCH_pipeline.json` trajectory already uses.
-pub fn best_rate(rates: &[f64]) -> f64 {
-    rates.iter().copied().fold(0.0, f64::max)
+/// Share of a run's units the end-to-end rates and latencies are taken
+/// from: the fastest tenth.
+const FAST_SHARE: f64 = 0.1;
+
+/// A stretch of a run (an engine cell or cycle, a bulk round): its rate
+/// and where its latency samples end in the run's sample buffers, which
+/// the units fill in order.
+#[derive(Clone, Copy, Default)]
+pub struct Unit {
+    /// Updates per second.
+    pub rate: f64,
+    /// One past the unit's last ingest sample.
+    pub ingest_end: usize,
+    /// One past the unit's last query sample.
+    pub query_end: usize,
 }
 
-/// One line describing a run's per-unit rates in Mups, for stderr.
-pub fn describe_rates(rates_ups: &[f64]) -> String {
-    let mut v: Vec<f64> = rates_ups.iter().map(|r| r / 1e6).collect();
+/// What the fastest units of a run measured.
+pub struct Fastest {
+    /// Units chosen.
+    pub units: usize,
+    /// Median rate of the chosen units, in updates per second.
+    pub rate: f64,
+    /// `(p50, p99)` of the chosen units' pooled ingest samples, in ms.
+    pub ingest_ms: (f64, f64),
+    /// `(p50, p99)` of the chosen units' pooled query samples, in ms.
+    pub query_ms: (f64, f64),
+    /// Ingest samples pooled.
+    pub ingest_samples: usize,
+    /// Query samples pooled.
+    pub query_samples: usize,
+}
+
+/// The end-to-end estimates of a run: rate and latencies of its fastest
+/// `FAST_SHARE` of units (at least one). The host the benchmark runs on
+/// is shared, and its other tenants slow whole stretches of a run down,
+/// by amounts and for lengths that differ from run to run; interference
+/// only ever adds time, so the fastest stretches are the least
+/// contaminated. A tenth rather than the single fastest unit, so that
+/// the estimate is a median and the percentiles rest on many samples.
+pub fn fastest(units: &[Unit], ingest_ns: &[u64], query_ns: &[u64]) -> Fastest {
+    let mut order: Vec<usize> = (0..units.len()).collect();
+    order.sort_by(|&a, &b| units[b].rate.total_cmp(&units[a].rate));
+    let take = ((units.len() as f64 * FAST_SHARE).round() as usize).max(1);
+    let chosen = &order[..take.min(units.len())];
+    let (mut ingest, mut query) = (Vec::new(), Vec::new());
+    let mut rates = Vec::with_capacity(chosen.len());
+    for &i in chosen {
+        let (ingest_start, query_start) = match i {
+            0 => (0, 0),
+            _ => (units[i - 1].ingest_end, units[i - 1].query_end),
+        };
+        ingest.extend_from_slice(&ingest_ns[ingest_start..units[i].ingest_end]);
+        query.extend_from_slice(&query_ns[query_start..units[i].query_end]);
+        rates.push(units[i].rate);
+    }
+    Fastest {
+        units: chosen.len(),
+        rate: median(&rates),
+        ingest_samples: ingest.len(),
+        query_samples: query.len(),
+        ingest_ms: percentiles_ms(&mut ingest),
+        query_ms: percentiles_ms(&mut query),
+    }
+}
+
+/// One line describing a run's unit rates in Mups, for stderr.
+pub fn describe_rates(units: &[Unit]) -> String {
+    let mut v: Vec<f64> = units.iter().map(|u| u.rate / 1e6).collect();
     v.sort_by(f64::total_cmp);
     let at = |q: f64| {
         v.get(((v.len().max(1) - 1) as f64 * q) as usize)
@@ -167,26 +221,19 @@ pub fn describe_rates(rates_ups: &[f64]) -> String {
             .unwrap_or(0.0)
     };
     format!(
-        "{} units, Mups p10 {:.4} median {:.4} best {:.4}",
+        "{} units, Mups p10 {:.4} median {:.4} p90 {:.4} best {:.4}",
         v.len(),
         at(0.1),
         at(0.5),
+        at(0.9),
         at(1.0)
     )
 }
 
-/// Consecutive groups a latency sample is cut into.
-const GROUPS: usize = 10;
-/// Samples per group from which a group's median is used.
-const GROUP_P50_MIN: usize = 100;
-/// Samples per group from which every group supports a true 99th
-/// percentile (at least ten samples beyond it).
-const GROUP_P99_MIN: usize = 1000;
-
-/// `(p50, p_hi)` of one sample in nanoseconds, as milliseconds. `p_hi`
-/// is the 99th percentile when at least ten samples lie beyond it, else
-/// the highest percentile that still has ten beyond it (the maximum when
-/// the sample has ten or fewer points).
+/// `(p50, p_hi)` of a sample in nanoseconds, as milliseconds. `p_hi` is
+/// the 99th percentile when at least ten samples lie beyond it, else the
+/// highest percentile that still has ten beyond it (the maximum when the
+/// sample has ten or fewer points).
 fn percentiles_ms(samples_ns: &mut [u64]) -> (f64, f64) {
     if samples_ns.is_empty() {
         return (0.0, 0.0);
@@ -197,32 +244,6 @@ fn percentiles_ms(samples_ns: &mut [u64]) -> (f64, f64) {
     let rank99 = (n * 99).div_ceil(100).max(1) - 1;
     let hi = if n > 10 { rank99.min(n - 11) } else { n - 1 };
     (p50 as f64 / 1e6, samples_ns[hi] as f64 / 1e6)
-}
-
-/// Latency summary of a sample in arrival order: `(p50, p99)` in
-/// milliseconds. The sample is cut into `GROUPS` consecutive groups.
-/// With at least `GROUP_P50_MIN` samples per group, p50 is the lowest
-/// group median — like the best-unit rate, the least disturbed stretch of
-/// the run; with at least `GROUP_P99_MIN` per group, p99 is the median of
-/// the groups' 99th percentiles, so one burst of outside interference
-/// moves one group, not the result. Smaller samples are summarized whole.
-pub fn latency_ms(samples_ns: &mut [u64]) -> (f64, f64) {
-    let size = samples_ns.len() / GROUPS;
-    if size < GROUP_P50_MIN {
-        return percentiles_ms(samples_ns);
-    }
-    let (p50s, p99s): (Vec<f64>, Vec<f64>) = samples_ns
-        .chunks_mut(size)
-        .take(GROUPS)
-        .map(percentiles_ms)
-        .unzip();
-    let p50 = p50s.iter().copied().fold(f64::INFINITY, f64::min);
-    let p99 = if size >= GROUP_P99_MIN {
-        median(&p99s)
-    } else {
-        percentiles_ms(samples_ns).1
-    };
-    (p50, p99)
 }
 
 /// Peak resident set (`VmHWM`) of process `pid` in MiB, from procfs.
