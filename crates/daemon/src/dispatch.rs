@@ -1,15 +1,12 @@
-//! Re-entrant request dispatch, shared by both session backends.
+//! Re-entrant request dispatch for the epoll reactor ([`crate::reactor`]).
 //!
-//! The thread backend ([`crate::accept`]) and the epoll reactor
-//! ([`crate::reactor`]) speak the same protocol over very different
-//! session shapes: a thread can park inside a handler (condvar waits,
-//! blocking pool submits), a reactor session must never block its event
-//! loop. This module factors the difference into a [`DispatchMode`]:
-//! handlers ask the mode for a [`Waiter`] when they hit a blocking
-//! condition — `None` means "wait here" (thread backend), `Some` means
-//! "register the waiter and return a [`PendingOp`]" (reactor). Everything
-//! else — admission checks, typed errors, reply shapes, counter updates —
-//! is written once, so the two backends cannot drift.
+//! A handler never blocks the event loop. When a request hits a blocking
+//! condition — a full tenant inbox, or a read that needs quiescence — it
+//! registers a [`Waiter`] through the session's [`Park`] context and
+//! returns a [`PendingOp`]; the reactor calls [`resume`] when a pool
+//! worker wakes that waiter. Pool submissions go through
+//! `WorkerPool::try_submit`, and a full queue defers the drain job to the
+//! reactor's retry list instead of waiting for space.
 //!
 //! A session has at most one [`PendingOp`] in flight: requests behind it
 //! stay unread in the session buffer, which preserves per-session reply
@@ -19,6 +16,7 @@
 use crate::json::{obj, Json};
 use crate::metrics;
 use crate::proto::{self, ErrorKind, ProtoError, Request};
+use crate::reactor::WakeHub;
 use crate::server::{hex_id, write_atomic, Shared};
 use crate::tenant::{Tenant, TenantSlot, TenantState, Waiter, INBOX_CHUNKS};
 use std::collections::{BTreeMap, VecDeque};
@@ -26,34 +24,44 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use wb_engine::Update;
 
-/// How a session backend waits and schedules. The thread backend blocks
-/// in place; the reactor registers wakeups and defers full-queue pool
-/// submissions back to its event loop.
-pub trait DispatchMode {
-    /// A waiter for the current session, or `None` to block inline.
-    /// Handlers call this exactly when a blocking condition holds under
-    /// the slot lock; returning `Some` converts the request into a
-    /// [`PendingOp`].
-    fn waiter(&self) -> Option<Waiter>;
-
-    /// Hand `slot`'s freshly-scheduled inbox to a pool worker. Called with
-    /// the slot lock released and `scheduled` already set.
-    fn schedule(&mut self, shared: &Arc<Shared>, slot: &Arc<TenantSlot>);
+/// How one session parks and schedules: the wakeup its waiters carry, and
+/// the reactor's list of drain jobs the bounded pool queue refused.
+pub struct Park<'a> {
+    /// The reactor's wakeup hub.
+    pub hub: &'a Arc<WakeHub>,
+    /// The session token a wakeup resolves back to.
+    pub token: u64,
+    /// Drain jobs waiting for pool space; the reactor retries them every
+    /// tick.
+    pub deferred: &'a mut VecDeque<Arc<TenantSlot>>,
 }
 
-/// Blocking mode: condvar waits, blocking pool submission. The thread
-/// backend's mode, and the teardown mode the reactor uses to finish a
-/// pending ingest whose client vanished.
-pub struct Blocking;
-
-impl DispatchMode for Blocking {
-    fn waiter(&self) -> Option<Waiter> {
-        None
+impl Park<'_> {
+    /// A waiter for this session. Handlers register it under the slot lock
+    /// while the blocking condition holds, then return a [`PendingOp`].
+    fn waiter(&self) -> Waiter {
+        Waiter {
+            token: self.token,
+            sink: Arc::clone(self.hub) as _,
+        }
     }
 
+    /// Hand `slot`'s freshly scheduled inbox to a pool worker, or defer it
+    /// when the queue is full. Called with the slot lock released and
+    /// `scheduled` already set.
     fn schedule(&mut self, shared: &Arc<Shared>, slot: &Arc<TenantSlot>) {
         let job = Arc::clone(slot);
-        shared.pool.submit(Box::new(move || job.drain_inbox()));
+        if shared
+            .pool
+            .try_submit(Box::new(move || job.drain_inbox()))
+            .is_err()
+        {
+            shared
+                .reactor
+                .deferred_submits
+                .fetch_add(1, Ordering::Relaxed);
+            self.deferred.push_back(Arc::clone(slot));
+        }
     }
 }
 
@@ -66,8 +74,7 @@ pub enum Outcome {
         /// `true` for `bye`: flush the reply, then close.
         end: bool,
     },
-    /// The request blocked (only under a mode whose [`DispatchMode::waiter`]
-    /// returns `Some`); the owning reactor resumes it on wakeup.
+    /// The request blocked; the owning reactor resumes it on wakeup.
     Pending(PendingOp),
 }
 
@@ -89,8 +96,8 @@ pub struct PendingOp {
 pub enum PendingKind {
     /// An admitted ingest with chunks still to enqueue. The whole batch
     /// was counted `accepted` at admission — these chunks are owed to the
-    /// tenant even if the client disconnects (see
-    /// [`finish_ingest_blocking`]).
+    /// tenant even if the client disconnects, so the reactor keeps
+    /// resuming the op after its peer is gone.
     Ingest {
         /// The admitted batch size, echoed in the reply.
         accepted: u64,
@@ -118,7 +125,7 @@ pub enum Resumed {
 }
 
 /// Dispatch one request line.
-pub fn handle_line(shared: &Arc<Shared>, mode: &mut dyn DispatchMode, line: &str) -> Outcome {
+pub fn handle_line(shared: &Arc<Shared>, park: &mut Park<'_>, line: &str) -> Outcome {
     let request = match proto::parse_request(line) {
         Ok(r) => r,
         Err(e) => return Outcome::reply(e.to_json()),
@@ -132,15 +139,15 @@ pub fn handle_line(shared: &Arc<Shared>, mode: &mut dyn DispatchMode, line: &str
         } => Outcome::reply(
             handle_hello(shared, &tenant, &alg, seed, &params).unwrap_or_else(|e| e.to_json()),
         ),
-        Request::Ingest { tenant, updates } => handle_ingest(shared, mode, &tenant, updates)
+        Request::Ingest { tenant, updates } => handle_ingest(shared, park, &tenant, updates)
             .unwrap_or_else(|e| Outcome::reply(e.to_json())),
-        Request::Query { tenant } => handle_quiescent(shared, mode, &tenant, PendingKind::Query),
+        Request::Query { tenant } => handle_quiescent(shared, park, &tenant, PendingKind::Query),
         Request::SnapshotStats { tenant } => {
-            handle_quiescent(shared, mode, &tenant, PendingKind::SnapshotStats)
+            handle_quiescent(shared, park, &tenant, PendingKind::SnapshotStats)
         }
         Request::Snapshot { tenant, path } => match snapshot_path(shared, &tenant, path.as_deref())
         {
-            Ok(path) => handle_quiescent(shared, mode, &tenant, PendingKind::Snapshot { path }),
+            Ok(path) => handle_quiescent(shared, park, &tenant, PendingKind::Snapshot { path }),
             Err(e) => Outcome::reply(e.to_json()),
         },
         Request::Restore { path } => {
@@ -170,13 +177,13 @@ pub fn handle_line(shared: &Arc<Shared>, mode: &mut dyn DispatchMode, line: &str
 
 /// Retry a parked op after a tenant wakeup. Spurious wakes re-register:
 /// the op either completes now or parks again with a fresh waiter.
-pub fn resume(shared: &Arc<Shared>, mode: &mut dyn DispatchMode, op: PendingOp) -> Resumed {
+pub fn resume(shared: &Arc<Shared>, park: &mut Park<'_>, op: PendingOp) -> Resumed {
     let PendingOp { slot, kind } = op;
     match kind {
         PendingKind::Ingest {
             accepted,
             mut remaining,
-        } => match push_chunks(shared, mode, &slot, &mut remaining) {
+        } => match push_chunks(shared, park, &slot, &mut remaining) {
             Pushed::Complete { pending } => Resumed::Done(ingest_reply(accepted, pending)),
             Pushed::Blocked => Resumed::Still(PendingOp {
                 slot,
@@ -193,30 +200,10 @@ pub fn resume(shared: &Arc<Shared>, mode: &mut dyn DispatchMode, op: PendingOp) 
                 drop(st);
                 Resumed::Done(reply)
             } else {
-                let waiter = mode
-                    .waiter()
-                    .expect("resume is only reached from a waiter-capable mode");
-                st.waiters.push(waiter);
+                st.waiters.push(park.waiter());
                 drop(st);
                 Resumed::Still(PendingOp { slot, kind })
             }
-        }
-    }
-}
-
-/// Finish a pending ingest synchronously. Session teardown path: the
-/// client is gone and its reply undeliverable, but the batch was admitted
-/// (`accepted` counted), so every remaining chunk must still reach the
-/// inbox — the no-loss drain invariant (`applied == accepted`) does not
-/// care who was listening. Callers must ensure any deferred pool submit
-/// for this slot has been flushed first, or the condvar wait below would
-/// wait on a drain job that was never handed to a worker.
-pub fn finish_ingest_blocking(shared: &Arc<Shared>, op: PendingOp) {
-    if let PendingKind::Ingest { mut remaining, .. } = op.kind {
-        let mut mode = Blocking;
-        match push_chunks(shared, &mut mode, &op.slot, &mut remaining) {
-            Pushed::Complete { .. } => {}
-            Pushed::Blocked => unreachable!("blocking mode waits instead of parking"),
         }
     }
 }
@@ -262,10 +249,10 @@ fn handle_hello(
     // Construct outside the tenants lock: building an algorithm (ctor +
     // probe_mergeable + shard instances) can be slow, and holding the map
     // mutex would stall every request that needs a tenant lookup across
-    // all tenants for the duration. (On the reactor this construction
-    // happens on the event-loop thread — a deliberate tradeoff: `hello`
-    // is rare next to ingest, and a CPU-bound ctor delays other sessions
-    // by the construction time but never deadlocks them.)
+    // all tenants for the duration. (The construction still runs on the
+    // event-loop thread — a deliberate tradeoff: `hello` is rare next to
+    // ingest, and a CPU-bound ctor delays other sessions by the
+    // construction time but never deadlocks them.)
     let created = Tenant::create(
         tenant,
         alg,
@@ -298,7 +285,7 @@ fn handle_hello(
 
 fn handle_ingest(
     shared: &Arc<Shared>,
-    mode: &mut dyn DispatchMode,
+    park: &mut Park<'_>,
     tenant: &str,
     updates: Vec<Update>,
 ) -> Result<Outcome, ProtoError> {
@@ -336,7 +323,7 @@ fn handle_ingest(
     let chunk = shared.cfg.chunk.max(1);
     let mut remaining: VecDeque<Vec<Update>> =
         updates.chunks(chunk).map(|piece| piece.to_vec()).collect();
-    match push_chunks(shared, mode, &slot, &mut remaining) {
+    match push_chunks(shared, park, &slot, &mut remaining) {
         Pushed::Complete { pending } => Ok(Outcome::reply(ingest_reply(accepted, pending))),
         Pushed::Blocked => Ok(Outcome::Pending(PendingOp {
             slot,
@@ -356,8 +343,7 @@ enum Pushed {
         /// Inbox depth when the last chunk landed.
         pending: u64,
     },
-    /// The inbox filled and the mode parks instead of waiting; a waiter
-    /// was registered.
+    /// The inbox filled; a waiter was registered.
     Blocked,
 }
 
@@ -368,7 +354,7 @@ enum Pushed {
 /// otherwise wait on a job never submitted).
 fn push_chunks(
     shared: &Arc<Shared>,
-    mode: &mut dyn DispatchMode,
+    park: &mut Park<'_>,
     slot: &Arc<TenantSlot>,
     remaining: &mut VecDeque<Vec<Update>>,
 ) -> Pushed {
@@ -379,24 +365,19 @@ fn push_chunks(
                 pending: st.inbox.len() as u64,
             };
         }
-        while st.inbox.len() >= INBOX_CHUNKS {
+        if st.inbox.len() >= INBOX_CHUNKS {
             st.inbox_stalls += 1;
-            match mode.waiter() {
-                None => st = slot.cv.wait(st).unwrap(),
-                Some(waiter) => {
-                    st.waiters.push(waiter);
-                    return Pushed::Blocked;
-                }
-            }
+            st.waiters.push(park.waiter());
+            return Pushed::Blocked;
         }
         let piece = remaining.pop_front().expect("checked non-empty");
         st.inbox.push_back(piece);
         if !st.scheduled {
-            // Submit outside the slot lock — the pool queue is bounded and
-            // blocking-mode submission may park (counted as a pool stall).
+            // Submit outside the slot lock: a pool worker may pick the job
+            // up at once and needs the lock to drain.
             st.scheduled = true;
             drop(st);
-            mode.schedule(shared, slot);
+            park.schedule(shared, slot);
             st = slot.state.lock().unwrap();
         }
     }
@@ -411,10 +392,10 @@ fn ingest_reply(accepted: u64, pending: u64) -> Json {
 }
 
 /// Serve a read op that needs quiescence (`query`, `snapshot-stats`,
-/// `snapshot`): wait for it in blocking mode, park on it otherwise.
+/// `snapshot`): answer now if the tenant is quiescent, park otherwise.
 fn handle_quiescent(
     shared: &Arc<Shared>,
-    mode: &mut dyn DispatchMode,
+    park: &mut Park<'_>,
     tenant: &str,
     kind: PendingKind,
 ) -> Outcome {
@@ -423,15 +404,10 @@ fn handle_quiescent(
         Err(e) => return Outcome::reply(e.to_json()),
     };
     let mut st = slot.state.lock().unwrap();
-    while !st.inbox.is_empty() || st.scheduled {
-        match mode.waiter() {
-            None => st = slot.cv.wait(st).unwrap(),
-            Some(waiter) => {
-                st.waiters.push(waiter);
-                drop(st);
-                return Outcome::Pending(PendingOp { slot, kind });
-            }
-        }
+    if !st.inbox.is_empty() || st.scheduled {
+        st.waiters.push(park.waiter());
+        drop(st);
+        return Outcome::Pending(PendingOp { slot, kind });
     }
     let reply = finish_quiescent(&mut st, &kind).unwrap_or_else(|e| e.to_json());
     Outcome::reply(reply)

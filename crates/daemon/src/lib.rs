@@ -24,24 +24,29 @@
 //! `metrics` expose state cheerfully; only algorithms that are robust
 //! under full exposure should be deployed multi-tenant.
 //!
+//! **Platform.** `wbd` is Linux-only: every session runs on one epoll
+//! event loop. A port would add one `poll(2)` reactor, not a second
+//! session backend.
+//!
 //! Modules: [`json`] (hand-rolled reader/writer), [`proto`] (wire types +
 //! typed errors), [`tenant`] (per-tenant engine + inbox), [`dispatch`]
-//! (re-entrant request handling shared by both backends), [`accept`]
-//! (thread-per-session backend), [`reactor`] (the Linux epoll backend),
-//! [`server`] (listener, backend selection, graceful drain), [`metrics`]
-//! (snapshots and the `top` view), [`client`] (the scripting client).
+//! (re-entrant request handlers that park instead of blocking),
+//! [`reactor`] (the epoll session loop), [`server`] (listener, tenant
+//! registry, graceful drain), [`metrics`] (snapshots and the `top` view),
+//! [`client`] (the scripting client).
 
-pub mod accept;
+#[cfg(not(target_os = "linux"))]
+compile_error!("wb-daemon requires Linux: its session reactor is built on epoll");
+
 pub mod client;
 pub mod dispatch;
 pub mod json;
 pub mod metrics;
 pub mod proto;
-#[cfg(target_os = "linux")]
 pub mod reactor;
 pub mod server;
 pub mod tenant;
 
 pub use json::Json;
 pub use proto::{ErrorKind, ProtoError, Request};
-pub use server::{Backend, DaemonConfig, Server};
+pub use server::{DaemonConfig, Server};

@@ -4,8 +4,10 @@
 //!
 //! ```text
 //! wbd [--listen ADDR] [--threads N] [--shards N] [--max-tenants N]
-//!     [--chunk N] [--seed N] [--state-dir DIR]
+//!     [--max-updates-per-tenant N] [--chunk N] [--seed N] [--state-dir DIR]
 //! ```
+//!
+//! Linux-only: every session is served by one epoll event loop.
 //!
 //! With `--state-dir DIR`, every `*.wbsnap` tenant snapshot found in DIR
 //! is restored before the socket opens, every tenant is snapshotted back
@@ -13,17 +15,17 @@
 //! their `path` — so a `shutdown` + restart round-trips all tenant state.
 //!
 //! Prints `{"event":"listening","addr":"..."}` once the socket is bound,
-//! runs until a client sends `shutdown` (or the process receives EOF-level
-//! drain via that request), then prints `{"event":"final_metrics",...}`
-//! after the graceful drain completes.
+//! runs until a client sends `shutdown`, then prints
+//! `{"event":"final_metrics",...}` after the graceful drain completes.
 //!
 //! Client mode:
 //!
 //! ```text
-//! wbd client --connect ADDR [--strict]
+//! wbd client --connect ADDR [--strict] [--pipeline N]
 //! ```
 //!
-//! forwards protocol lines from stdin and prints replies; see
+//! forwards protocol lines from stdin and prints replies, keeping up to
+//! `--pipeline` requests in flight (default 1); see
 //! [`wb_daemon::client`] for the script conventions (`#` comments, `!`
 //! expected-error prefix).
 
@@ -35,8 +37,8 @@ use wb_daemon::{client, DaemonConfig, Server};
 fn die(msg: &str) -> ! {
     eprintln!("wbd: {msg}");
     eprintln!(
-        "usage: wbd [--listen ADDR] [--backend epoll|thread] [--threads N] [--shards N] \
-         [--max-tenants N] [--max-updates-per-tenant N] [--chunk N] [--seed N] [--state-dir DIR]"
+        "usage: wbd [--listen ADDR] [--threads N] [--shards N] [--max-tenants N] \
+         [--max-updates-per-tenant N] [--chunk N] [--seed N] [--state-dir DIR]"
     );
     eprintln!("       wbd client --connect ADDR [--strict] [--pipeline N]");
     std::process::exit(2);
@@ -107,13 +109,6 @@ fn main() -> ExitCode {
                 if cfg.shards == 0 {
                     die("--shards must be >= 1");
                 }
-            }
-            "--backend" => {
-                let raw = args
-                    .next()
-                    .unwrap_or_else(|| die("--backend requires 'epoll' or 'thread'"));
-                cfg.backend = wb_daemon::Backend::parse(&raw)
-                    .unwrap_or_else(|| die(&format!("--backend: unknown backend {raw:?}")));
             }
             "--max-tenants" => cfg.max_tenants = parse_num("--max-tenants", args.next()),
             "--max-updates-per-tenant" => {

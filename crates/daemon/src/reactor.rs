@@ -1,5 +1,5 @@
 //! The epoll session reactor: every TCP session multiplexed onto one
-//! event-loop thread (`--backend epoll`, Linux only — the default there).
+//! event-loop thread.
 //!
 //! Each session is a nonblocking state machine: a read buffer with
 //! incremental line framing, a dispatch step through [`crate::dispatch`],
@@ -8,10 +8,11 @@
 //! per-session reply order is the request order by construction.
 //!
 //! **Wakeups.** Handlers never block the loop: when a request hits inbox
-//! backpressure or needs quiescence, it registers a [`Waiter`] carrying
-//! the session's token and returns. Pool workers complete the condition
-//! and poke the [`WakeHub`] — a token list plus a self-pipe whose read end
-//! is registered in epoll — and the loop resumes the op. Tokens carry a
+//! backpressure or needs quiescence, it registers a
+//! [`Waiter`](crate::tenant::Waiter) carrying the session's token and
+//! returns. Pool workers complete the condition and poke the
+//! [`WakeHub`] — a token list plus a self-pipe whose read end is
+//! registered in epoll — and the loop resumes the op. Tokens carry a
 //! generation so a wakeup for a closed (possibly reused) session slot is
 //! ignored.
 //!
@@ -21,14 +22,24 @@
 //! list flushed every loop tick (and flushed blockingly before the loop
 //! exits, so the no-loss drain invariant survives).
 //!
+//! **Detach.** A session whose peer is gone — EPOLLERR/EPOLLHUP, a read
+//! error or a write error — while an op is parked is *detached*: its fd
+//! leaves epoll (a reset socket stays readable-with-error forever, even
+//! with an empty interest mask), its write backlog and unread requests
+//! are dropped, and the parked op runs to completion through the ordinary
+//! wakeup → [`dispatch::resume`] path with its reply discarded. An
+//! admitted ingest is owed to its tenant whoever is listening, so this
+//! keeps `applied == accepted` without ever blocking the loop. A session
+//! is only closed once no op is parked.
+//!
 //! The syscall surface is three `extern "C"` declarations plus a pipe —
-//! no new dependencies; non-Linux builds compile the thread backend only.
+//! no new dependencies.
 
-use crate::dispatch::{self, Outcome, PendingKind, PendingOp, Resumed};
+use crate::dispatch::{self, Outcome, Park, PendingOp, Resumed};
 use crate::json::Json;
 use crate::proto::{ErrorKind, ProtoError};
 use crate::server::{Shared, MAX_LINE_BYTES};
-use crate::tenant::{TenantSlot, Waiter, WakeSink};
+use crate::tenant::{TenantSlot, WakeSink};
 use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{TcpListener, TcpStream};
@@ -47,6 +58,8 @@ mod sys {
     pub const EPOLL_CTL_MOD: c_int = 3;
     pub const EPOLLIN: u32 = 0x001;
     pub const EPOLLOUT: u32 = 0x004;
+    pub const EPOLLERR: u32 = 0x008;
+    pub const EPOLLHUP: u32 = 0x010;
     pub const EPOLLRDHUP: u32 = 0x2000;
     pub const O_NONBLOCK: c_int = 0o4000;
     pub const O_CLOEXEC: c_int = 0o2000000;
@@ -222,8 +235,7 @@ const READ_BUDGET: usize = 256 * 1024;
 /// memory.
 const WRITE_HIGH_WATER: usize = 1 << 20;
 
-/// How long a drain-idle session stays registered before it is reaped —
-/// the reactor's analogue of the thread backend's 200ms read timeout. A
+/// How long a drain-idle session stays registered before it is reaped. A
 /// stop-and-wait client that reads the `shutdown` reply and then sends
 /// `bye` needs this window; without it the reply-then-send round trip
 /// races the close and the client sees a broken pipe.
@@ -248,6 +260,8 @@ struct Session {
     closing: bool,
     /// Peer closed its write half.
     eof: bool,
+    /// The peer is gone while an op is parked; see the module docs.
+    detached: bool,
     /// Currently registered epoll interest.
     interest: u32,
     /// When the session first went idle under a drain; reset by any
@@ -270,6 +284,7 @@ impl Session {
             pending: None,
             closing: false,
             eof: false,
+            detached: false,
             interest: sys::EPOLLIN | sys::EPOLLRDHUP,
             drain_idle_since: None,
         }
@@ -380,38 +395,6 @@ impl Session {
     }
 }
 
-/// The reactor's [`dispatch::DispatchMode`]: park via [`Waiter`]s, submit
-/// via [`WorkerPool::try_submit`](wb_engine::pool::WorkerPool::try_submit)
-/// with a deferral list for a full queue.
-struct ReactorMode<'a> {
-    hub: &'a Arc<WakeHub>,
-    token: u64,
-    deferred: &'a mut VecDeque<Arc<TenantSlot>>,
-}
-
-impl dispatch::DispatchMode for ReactorMode<'_> {
-    fn waiter(&self) -> Option<Waiter> {
-        Some(Waiter {
-            token: self.token,
-            sink: Arc::clone(self.hub) as Arc<dyn WakeSink>,
-        })
-    }
-
-    fn schedule(&mut self, shared: &Arc<Shared>, slot: &Arc<TenantSlot>) {
-        let job = Arc::clone(slot);
-        match shared.pool.try_submit(Box::new(move || job.drain_inbox())) {
-            Ok(()) => {}
-            Err(_job) => {
-                shared
-                    .reactor
-                    .deferred_submits
-                    .fetch_add(1, Ordering::Relaxed);
-                self.deferred.push_back(Arc::clone(slot));
-            }
-        }
-    }
-}
-
 /// Create the epoll instance and wakeup hub. Called by
 /// [`crate::Server::start`] so setup failures surface there, not inside
 /// the reactor thread.
@@ -471,8 +454,7 @@ pub fn run(shared: Arc<Shared>, listener: TcpListener, poller: Poller, hub: Arc<
         }
         r.flush_deferred();
         // Short timeout while drain jobs wait on pool space; otherwise a
-        // lazy tick that bounds drain-notice latency (like the thread
-        // backend's read timeout).
+        // lazy tick that bounds drain-notice latency.
         let timeout = if r.deferred.is_empty() { 200 } else { 5 };
         let n = r.poller.wait(&mut events, timeout);
         r.shared
@@ -569,23 +551,16 @@ impl Reactor {
         self.sessions[idx] = Some(sess);
     }
 
-    fn pump_event(&mut self, token: u64, _events: u32) {
+    fn pump_event(&mut self, token: u64, events: u32) {
         let Some(idx) = self.resolve(token) else {
             return;
         };
         let mut sess = self.sessions[idx].take().expect("resolved");
-        let mut dead = false;
-        if sess.pending.is_none() && !sess.closing && sess.fill().is_err() {
-            dead = true;
-        }
-        if !dead {
-            dead = self.advance(&mut sess);
-        }
-        if dead {
-            self.finish_session(idx, sess);
-        } else {
-            self.sessions[idx] = Some(sess);
-        }
+        debug_assert!(!sess.detached, "a detached session has left epoll");
+        let gone = events & (sys::EPOLLERR | sys::EPOLLHUP) != 0
+            || (sess.pending.is_none() && !sess.closing && sess.fill().is_err());
+        let close = gone || self.advance(&mut sess);
+        self.settle(idx, sess, close);
     }
 
     fn pump_wake(&mut self, token: u64) {
@@ -593,26 +568,75 @@ impl Reactor {
             return;
         };
         let mut sess = self.sessions[idx].take().expect("resolved");
-        let mut dead = false;
-        if let Some(op) = sess.pending.take() {
-            let mut mode = ReactorMode {
-                hub: &self.hub,
-                token: sess.token,
-                deferred: &mut self.deferred,
-            };
-            match dispatch::resume(&self.shared, &mut mode, op) {
-                Resumed::Done(reply) => {
-                    self.queue_reply(&mut sess, &reply);
-                    dead = self.advance(&mut sess);
-                }
-                Resumed::Still(op) => sess.pending = Some(op),
-            }
-        }
-        if dead {
-            self.finish_session(idx, sess);
-        } else {
+        let Some(op) = sess.pending.take() else {
             self.sessions[idx] = Some(sess);
+            return;
+        };
+        let mut park = Park {
+            hub: &self.hub,
+            token: sess.token,
+            deferred: &mut self.deferred,
+        };
+        let close = match dispatch::resume(&self.shared, &mut park, op) {
+            Resumed::Still(op) => {
+                sess.pending = Some(op);
+                false
+            }
+            // Nobody is listening: the op ran for its side effects only.
+            Resumed::Done(_) if sess.detached => true,
+            Resumed::Done(reply) => {
+                self.queue_reply(&mut sess, &reply);
+                self.advance(&mut sess)
+            }
+        };
+        self.settle(idx, sess, close);
+    }
+
+    /// Put a pumped session back, or close it when `close` is set. A
+    /// session that must close while an op is parked is detached instead
+    /// and closes when the op completes.
+    fn settle(&mut self, idx: usize, mut sess: Session, close: bool) {
+        if close && sess.pending.is_none() {
+            self.finish_session(idx, sess);
+            return;
         }
+        if close && !sess.detached {
+            self.detach(&mut sess);
+        }
+        self.sessions[idx] = Some(sess);
+    }
+
+    /// Detach a session whose peer is gone while an op is parked: stop
+    /// watching its fd and drop everything addressed to or from the peer.
+    /// The fd itself stays open until [`Self::finish_session`], so its
+    /// number cannot be reused under the parked op's token.
+    fn detach(&self, sess: &mut Session) {
+        self.deregister(sess);
+        self.drop_backlog(sess);
+        sess.rbuf = Vec::new();
+        sess.rpos = 0;
+        sess.scan = 0;
+        sess.detached = true;
+    }
+
+    fn deregister(&self, sess: &Session) {
+        let _ = self.poller.delete(sess.stream.as_raw_fd());
+        self.shared
+            .reactor
+            .registered
+            .fetch_sub(1, Ordering::Relaxed);
+    }
+
+    fn drop_backlog(&self, sess: &mut Session) {
+        let backlog = sess.backlog() as u64;
+        if backlog > 0 {
+            self.shared
+                .reactor
+                .write_queue_bytes
+                .fetch_sub(backlog, Ordering::Relaxed);
+        }
+        sess.wbuf = Vec::new();
+        sess.wpos = 0;
     }
 
     /// Dispatch buffered lines, flush writes, refresh epoll interest, and
@@ -627,12 +651,12 @@ impl Reactor {
                         }
                         self.shared.requests.fetch_add(1, Ordering::Relaxed);
                         sess.drain_idle_since = None;
-                        let mut mode = ReactorMode {
+                        let mut park = Park {
                             hub: &self.hub,
                             token: sess.token,
                             deferred: &mut self.deferred,
                         };
-                        match dispatch::handle_line(&self.shared, &mut mode, &line) {
+                        match dispatch::handle_line(&self.shared, &mut park, &line) {
                             Outcome::Reply { reply, end } => {
                                 self.queue_reply(sess, &reply);
                                 if end {
@@ -650,9 +674,8 @@ impl Reactor {
                     }
                     None => {
                         if sess.buffered() > MAX_LINE_BYTES {
-                            // Same refusal as the thread backend: a typed
-                            // error, then close — the buffer no longer frames
-                            // requests.
+                            // A typed error, then close — the buffer no
+                            // longer frames requests.
                             self.shared.requests.fetch_add(1, Ordering::Relaxed);
                             let reply = ProtoError::new(
                                 ErrorKind::BadRequest,
@@ -673,10 +696,10 @@ impl Reactor {
                 return flushed && sess.pending.is_none();
             }
             if sess.eof && sess.pending.is_none() && !sess.has_full_line() {
-                // Mirror the thread backend's EOF rule: serve every complete
-                // buffered line, discard a trailing partial one. Unflushed
-                // replies are written best-effort (the peer may only have
-                // closed its write half).
+                // EOF rule: serve every complete buffered line, discard a
+                // trailing partial one. Unflushed replies are written
+                // best-effort (the peer may only have closed its write
+                // half).
                 return true;
             }
             if self.shared.draining.load(Ordering::SeqCst)
@@ -686,8 +709,8 @@ impl Reactor {
             {
                 // EPOLLIN is off while an op is parked, so a pipelined request
                 // (typically a trailing `bye`) may already sit unread in the
-                // kernel buffer. The thread backend's pre-close read serves it;
-                // match that with one nonblocking fill before declaring idle.
+                // kernel buffer. One nonblocking fill before declaring idle
+                // serves it.
                 if sess.eof || sess.fill().is_err() {
                     return true;
                 }
@@ -727,44 +750,25 @@ impl Reactor {
             .fetch_add(out.len() as u64, Ordering::Relaxed);
     }
 
-    /// Tear a session down. A parked ingest is finished synchronously —
-    /// the batch was admitted, so its chunks are owed to the tenant even
-    /// though nobody reads the reply; parked reads are simply dropped.
-    fn finish_session(&mut self, idx: usize, sess: Session) {
-        let _ = self.poller.delete(sess.stream.as_raw_fd());
-        let backlog = sess.backlog() as u64;
-        if backlog > 0 {
-            self.shared
-                .reactor
-                .write_queue_bytes
-                .fetch_sub(backlog, Ordering::Relaxed);
+    /// Close a session with no parked op.
+    fn finish_session(&mut self, idx: usize, mut sess: Session) {
+        debug_assert!(sess.pending.is_none(), "a parked op outlives its session");
+        if !sess.detached {
+            self.deregister(&sess);
         }
-        if let Some(op) = sess.pending {
-            if matches!(op.kind, PendingKind::Ingest { .. }) {
-                // The parked ingest may be waiting on a drain job that the
-                // full pool queue pushed to the deferral list; hand those
-                // over first or the blocking finish below waits forever.
-                self.flush_deferred_blocking();
-                dispatch::finish_ingest_blocking(&self.shared, op);
-            }
-        }
+        self.drop_backlog(&mut sess);
         self.gens[idx] = self.gens[idx].wrapping_add(1);
         self.free.push(idx);
         self.live -= 1;
-        self.shared
-            .reactor
-            .registered
-            .fetch_sub(1, Ordering::Relaxed);
         self.shared.sessions_closed.fetch_add(1, Ordering::Relaxed);
         self.shared.sessions_active.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// Drain sweep: close sessions that have been fully idle (no parked
-    /// op, no buffered bytes, flushed) for [`DRAIN_GRACE`] — the
-    /// reactor's version of the thread backend's drain-on-read-timeout.
-    /// The grace window keeps EPOLLIN armed, so a stop-and-wait client
-    /// that reads the `shutdown` reply and only then sends `bye` is
-    /// served instead of hitting a closed socket.
+    /// op, no buffered bytes, flushed) for [`DRAIN_GRACE`]. The grace
+    /// window keeps EPOLLIN armed, so a stop-and-wait client that reads
+    /// the `shutdown` reply and only then sends `bye` is served instead of
+    /// hitting a closed socket.
     fn close_idle(&mut self) {
         for idx in 0..self.sessions.len() {
             let idle = match &self.sessions[idx] {

@@ -16,14 +16,15 @@
 //! of the concatenated per-tenant stream — the white-box model's adversary
 //! loses nothing by the engine being behind a socket.
 //!
-//! **Backpressure.** The inbox holds at most [`INBOX_CHUNKS`] chunks;
-//! sessions pushing faster than the pool drains block on the slot condvar
-//! (counted in `inbox_stalls`) so memory stays bounded per tenant and
-//! pressure propagates to the client socket instead of the heap.
+//! **Backpressure.** The inbox holds at most [`INBOX_CHUNKS`] chunks; a
+//! session pushing faster than the pool drains parks on the slot with a
+//! [`Waiter`] (counted in `inbox_stalls`) and stops reading its socket, so
+//! memory stays bounded per tenant and pressure propagates to the client
+//! socket instead of the heap.
 
 use crate::proto::{ErrorKind, HelloParams, ProtoError};
 use std::collections::VecDeque;
-use std::sync::{Condvar, Mutex};
+use std::sync::Mutex;
 use std::time::Instant;
 use wb_core::rng::{derive_seed, TranscriptRng};
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
@@ -411,16 +412,15 @@ impl Tenant {
     }
 }
 
-/// Where a reactor session asks to be poked when a tenant's inbox makes
-/// progress. The trait keeps `tenant.rs` portable: the Linux reactor
-/// implements it over its wakeup pipe; the thread backend never registers
-/// one (it blocks on [`TenantSlot::cv`] instead).
+/// Where a parked session asks to be poked when a tenant's inbox makes
+/// progress. The reactor implements it over its wakeup pipe; the trait
+/// keeps that pipe's unsafe syscalls out of this module.
 pub trait WakeSink: Send + Sync {
     /// Record `token` as runnable and wake the event loop that owns it.
     fn wake(&self, token: u64);
 }
 
-/// One parked reactor session: its token and the sink that reaches its
+/// One parked session: its token and the sink that reaches its
 /// reactor. Registered under the slot lock while the blocking condition
 /// holds, drained (woken) by the worker that changes the condition — the
 /// classic no-lost-wakeup shape, with re-registration on spurious wakes.
@@ -441,20 +441,16 @@ pub struct TenantState {
     pub scheduled: bool,
     /// How often a session found the inbox full and had to wait.
     pub inbox_stalls: u64,
-    /// Reactor sessions parked on this tenant (inbox space or quiescence).
+    /// Sessions parked on this tenant (inbox space or quiescence).
     /// Every applied chunk and every worker hand-back drains the list;
     /// still-blocked sessions re-register after re-checking.
     pub waiters: Vec<Waiter>,
 }
 
-/// A registered tenant behind its lock + condvar (the condvar signals
-/// "inbox drained a chunk" — both queries waiting for quiescence and
-/// sessions waiting for inbox space block on it).
+/// A registered tenant behind its lock.
 pub struct TenantSlot {
     /// The guarded state.
     pub state: Mutex<TenantState>,
-    /// Signalled on every applied chunk and on worker hand-back.
-    pub cv: Condvar,
 }
 
 impl TenantSlot {
@@ -468,16 +464,14 @@ impl TenantSlot {
                 inbox_stalls: 0,
                 waiters: Vec::new(),
             }),
-            cv: Condvar::new(),
         }
     }
 
     /// Run the worker half: apply inbox chunks in FIFO order until the
     /// inbox is empty, then hand the tenant back (clear `scheduled`)
     /// atomically with the emptiness check, so no chunk is ever left
-    /// behind without a worker owning it. Both wait mechanisms are
-    /// notified at every progress point: the condvar for blocking
-    /// sessions, the registered [`Waiter`]s for reactor sessions.
+    /// behind without a worker owning it. Every progress point wakes the
+    /// registered [`Waiter`]s.
     pub fn drain_inbox(&self) {
         let mut st = self.state.lock().unwrap();
         loop {
@@ -488,27 +482,15 @@ impl TenantSlot {
                     // (queries) must never see a popped-but-unapplied
                     // chunk.
                     st.tenant.apply_chunk(&chunk);
-                    self.cv.notify_all();
                     wake_waiters(&mut st);
                 }
                 None => {
                     st.scheduled = false;
-                    self.cv.notify_all();
                     wake_waiters(&mut st);
                     return;
                 }
             }
         }
-    }
-
-    /// Block until every accepted chunk has been applied (read-your-writes
-    /// for queries and stats).
-    pub fn await_quiescent(&self) -> std::sync::MutexGuard<'_, TenantState> {
-        let mut st = self.state.lock().unwrap();
-        while !st.inbox.is_empty() || st.scheduled {
-            st = self.cv.wait(st).unwrap();
-        }
-        st
     }
 }
 
@@ -687,8 +669,8 @@ mod tests {
             st.scheduled = true;
         }
         slot.drain_inbox();
-        let st = slot.await_quiescent();
-        assert!(st.inbox.is_empty());
-        assert!(!st.scheduled);
+        let st = slot.state.lock().unwrap();
+        assert!(st.inbox.is_empty() && !st.scheduled);
+        assert_eq!(st.tenant.applied, 15);
     }
 }

@@ -774,3 +774,103 @@ fn requests_trailing_a_shutdown_are_served_during_drain() {
         "the drain must apply the batch accepted before it began"
     );
 }
+
+/// Regression: a client that resets its connection while its ingest is
+/// parked must not spin the reactor. A reset socket reports
+/// EPOLLHUP|EPOLLERR even with an empty interest mask, so a session left
+/// registered turns every `epoll_wait` into an instant return until the
+/// op ends. The session must instead detach — leave epoll — while its
+/// admitted batch still drains into the tenant, and close once the op
+/// completes.
+#[test]
+fn reset_while_an_ingest_is_parked_detaches_without_spinning() {
+    const UPDATES: u64 = 300_000;
+    let server = Server::start(DaemonConfig {
+        listen: "127.0.0.1:0".into(),
+        threads: 1,
+        chunk: 64, // 300k updates = 4688 chunks >> 8 inbox slots
+        ..DaemonConfig::default()
+    })
+    .expect("start daemon");
+    let addr = server.addr();
+    let mut control = Session::connect(addr);
+    control.expect_ok("{\"cmd\":\"hello\",\"tenant\":\"rst\",\"alg\":\"phi_eps_hh\",\"seed\":9}");
+    let sample = |control: &mut Session| {
+        let reply = control.expect_ok("{\"cmd\":\"metrics\"}");
+        let m = reply.get("metrics").expect("metrics payload");
+        let num = |path: [&str; 2]| {
+            m.get(path[0])
+                .and_then(|v| v.get(path[1]))
+                .and_then(Json::as_u64)
+                .unwrap_or_else(|| panic!("metrics without {path:?}"))
+        };
+        (
+            num(["reactor", "ready_events"]),
+            num(["tenants", "accepted"]),
+            num(["tenants", "applied"]),
+        )
+    };
+
+    // One write: a request whose reply is never read, then the ingest.
+    // The slow phi_eps_hh tenant keeps the ingest parked on inbox space
+    // long after it is admitted.
+    let mut victim = TcpStream::connect(addr).expect("connect victim");
+    let mut payload = b"{\"cmd\":\"metrics\"}\n".to_vec();
+    payload.extend_from_slice(insert_line("rst", 0, UPDATES).as_bytes());
+    payload.push(b'\n');
+    victim.write_all(&payload).expect("send ingest");
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while sample(&mut control).1 < UPDATES {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "ingest never admitted"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let (_, accepted, applied) = sample(&mut control);
+    assert!(
+        applied < accepted,
+        "the ingest must still be parked when its client resets"
+    );
+    // Closing with the metrics reply unread makes the kernel send RST.
+    drop(victim);
+    std::thread::sleep(std::time::Duration::from_millis(50));
+
+    let (ready_before, _, _) = sample(&mut control);
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(60);
+    let ready_after = loop {
+        let (ready, accepted, applied) = sample(&mut control);
+        if applied == accepted {
+            break ready;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the detached ingest never finished draining"
+        );
+        // Each sample is itself a ready event; poll sparingly.
+        std::thread::sleep(std::time::Duration::from_millis(50));
+    };
+    // What remains legitimately: the control samples and the wake-pipe
+    // events of the draining ingest (about 600 here — the worker holds the
+    // slot lock across an inbox's worth of chunks, so wakeups come roughly
+    // one per 8 chunks). A reactor spinning on the reset socket adds
+    // hundreds of thousands.
+    let growth = ready_after - ready_before;
+    assert!(
+        growth < 1_000,
+        "the reactor spun on the reset socket: {growth} ready events while the \
+         detached ingest drained"
+    );
+
+    control.expect_ok("{\"cmd\":\"bye\"}");
+    server.begin_drain();
+    let finals = server.wait();
+    let tenants = finals.get("tenants").expect("tenants rollup");
+    assert_eq!(
+        tenants.get("accepted").and_then(Json::as_u64),
+        Some(UPDATES)
+    );
+    assert_eq!(tenants.get("applied").and_then(Json::as_u64), Some(UPDATES));
+    let sessions = finals.get("sessions").expect("session stats");
+    assert_eq!(sessions.get("opened"), sessions.get("closed"));
+}
