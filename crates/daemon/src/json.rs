@@ -79,10 +79,7 @@ impl Json {
         let bytes = input.as_bytes();
         let mut pos = 0usize;
         let value = parse_value(bytes, &mut pos, 0)?;
-        skip_ws(bytes, &mut pos);
-        if pos != bytes.len() {
-            return Err(format!("trailing characters at byte {pos}"));
-        }
+        expect_end(bytes, &mut pos)?;
         Ok(value)
     }
 
@@ -195,7 +192,7 @@ fn write_escaped(s: &str, out: &mut String) {
     out.push('"');
 }
 
-fn skip_ws(bytes: &[u8], pos: &mut usize) {
+pub(crate) fn skip_ws(bytes: &[u8], pos: &mut usize) {
     while let Some(b' ' | b'\t' | b'\n' | b'\r') = bytes.get(*pos) {
         *pos += 1;
     }
@@ -210,13 +207,23 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), String> {
     }
 }
 
+/// Accept only whitespace from `pos` to the end: one value per line.
+pub(crate) fn expect_end(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
+    skip_ws(bytes, pos);
+    if *pos == bytes.len() {
+        Ok(())
+    } else {
+        Err(format!("trailing characters at byte {}", *pos))
+    }
+}
+
 /// Maximum container nesting. The parser recurses per `[`/`{`, so without
 /// a limit a line of tens of KB of `[` would overflow the session thread's
 /// stack and abort the whole process; the protocol only ever needs depth
 /// ~3.
 const MAX_DEPTH: usize = 64;
 
-fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
+pub(crate) fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
     if depth > MAX_DEPTH {
         return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", *pos));
     }
@@ -243,26 +250,41 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Json) -> Result<Js
 }
 
 fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {
-    expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
+    parse_members(bytes, pos, |key, pos| {
+        members.push((key, parse_value(bytes, pos, depth + 1)?));
+        Ok(())
+    })?;
+    Ok(Json::Obj(members))
+}
+
+/// Walk the object at `pos`: for each member, read its key and `:`, then
+/// hand the key to `member`, which must consume the value at `pos`. Every
+/// object, the protocol's request line included, is read by this one walk,
+/// so all of them accept the same syntax with the same errors.
+pub(crate) fn parse_members(
+    bytes: &[u8],
+    pos: &mut usize,
+    mut member: impl FnMut(String, &mut usize) -> Result<(), String>,
+) -> Result<(), String> {
+    expect(bytes, pos, b'{')?;
     skip_ws(bytes, pos);
     if bytes.get(*pos) == Some(&b'}') {
         *pos += 1;
-        return Ok(Json::Obj(members));
+        return Ok(());
     }
     loop {
         skip_ws(bytes, pos);
         let key = parse_string(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':')?;
-        let value = parse_value(bytes, pos, depth + 1)?;
-        members.push((key, value));
+        member(key, pos)?;
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
             Some(b'}') => {
                 *pos += 1;
-                return Ok(Json::Obj(members));
+                return Ok(());
             }
             _ => return Err(format!("expected ',' or '}}' at byte {}", *pos)),
         }

@@ -30,7 +30,7 @@
 //! serving after an error reply. Error kinds are a closed set (see
 //! [`ErrorKind`]) so scripted clients can branch without string matching.
 
-use crate::json::{obj, Json};
+use crate::json::{self, obj, Json};
 use wb_engine::Update;
 
 /// Closed set of protocol error kinds.
@@ -187,11 +187,41 @@ pub enum Request {
     Shutdown,
 }
 
+/// Depth of a top-level member's value, as the JSON tokenizer counts it.
+const MEMBER_DEPTH: usize = 1;
+
 /// Parse one request line. Errors are [`ErrorKind::BadRequest`] with a
 /// message pointing at the offending field.
+///
+/// One pass over the line: the top-level object's members are read with
+/// the JSON tokenizer, except the first `updates` member, which is decoded
+/// straight into the batch. The whole line is checked for syntax before
+/// any field, so a syntax error anywhere wins over a field error, as it
+/// would after a full `Json::parse`.
 pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
     let bad = |msg: String| ProtoError::new(ErrorKind::BadRequest, msg);
-    let v = Json::parse(line).map_err(|e| bad(format!("malformed JSON: {e}")))?;
+    let malformed = |e: String| bad(format!("malformed JSON: {e}"));
+    let bytes = line.as_bytes();
+    let mut pos = 0;
+    json::skip_ws(bytes, &mut pos);
+    if bytes.get(pos) != Some(&b'{') {
+        // Not an object: either a syntax error or a value with no 'cmd'.
+        Json::parse(line).map_err(malformed)?;
+        return Err(bad("missing string field 'cmd'".to_string()));
+    }
+    let mut members = Vec::new();
+    let mut batch = None;
+    json::parse_members(bytes, &mut pos, |key, pos| {
+        if key == "updates" && batch.is_none() {
+            batch = Some(decode_updates(bytes, pos)?);
+        } else {
+            members.push((key, json::parse_value(bytes, pos, MEMBER_DEPTH)?));
+        }
+        Ok(())
+    })
+    .and_then(|()| json::expect_end(bytes, &mut pos))
+    .map_err(malformed)?;
+    let v = Json::Obj(members);
     let cmd = v
         .get("cmd")
         .and_then(Json::as_str)
@@ -248,14 +278,9 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
         }
         "ingest" => {
             let tenant = tenant_of(&v)?;
-            let raw = v
-                .get("updates")
-                .and_then(Json::as_arr)
-                .ok_or_else(|| bad("ingest needs an array field 'updates'".to_string()))?;
-            let mut updates = Vec::with_capacity(raw.len());
-            for (i, u) in raw.iter().enumerate() {
-                updates.push(parse_update(u).map_err(|e| bad(format!("updates[{i}]: {e}")))?);
-            }
+            let updates = batch
+                .unwrap_or_else(|| Err("ingest needs an array field 'updates'".to_string()))
+                .map_err(bad)?;
             Ok(Request::Ingest { tenant, updates })
         }
         "query" => Ok(Request::Query {
@@ -293,6 +318,111 @@ pub fn parse_request(line: &str) -> Result<Request, ProtoError> {
             "unknown command '{other}' (known: hello, ingest, query, snapshot-stats, \
              snapshot, restore, metrics, top, bye, shutdown)"
         ))),
+    }
+}
+
+/// Decode the `updates` member whose value starts at `pos`. Bare `u64`
+/// items and `[u64,i64]` pairs go straight into the batch with no `Json`
+/// node; at any other element the member is re-parsed from its start as a
+/// generic value, so a syntax error carries the tokenizer's message and an
+/// ill-typed element gets [`parse_update`]'s.
+///
+/// The outer error is a syntax error of the line. The inner result is the
+/// batch or its field error, which only an `ingest` reports.
+fn decode_updates(bytes: &[u8], pos: &mut usize) -> Result<Result<Vec<Update>, String>, String> {
+    let start = *pos;
+    if let Some(updates) = scan_updates(bytes, pos) {
+        return Ok(Ok(updates));
+    }
+    *pos = start;
+    let v = json::parse_value(bytes, pos, MEMBER_DEPTH)?;
+    Ok(updates_of(&v))
+}
+
+/// The batch an `updates` value holds, or the field error for it.
+fn updates_of(v: &Json) -> Result<Vec<Update>, String> {
+    let raw = v
+        .as_arr()
+        .ok_or_else(|| "ingest needs an array field 'updates'".to_string())?;
+    let mut updates = Vec::with_capacity(raw.len());
+    for (i, u) in raw.iter().enumerate() {
+        updates.push(parse_update(u).map_err(|e| format!("updates[{i}]: {e}"))?);
+    }
+    Ok(updates)
+}
+
+/// Read `[`, then bare `u64` items and `[u64,i64]` pairs with JSON
+/// whitespace between any two tokens, then `]`. `None` at anything else.
+fn scan_updates(bytes: &[u8], pos: &mut usize) -> Option<Vec<Update>> {
+    json::skip_ws(bytes, pos);
+    if bytes.get(*pos) != Some(&b'[') {
+        return None;
+    }
+    *pos += 1;
+    // Every element but the last is followed by a comma, so the commas
+    // left on the line bound the batch size and the batch never grows.
+    // A pair's inner comma makes this up to twice the batch, but pages of
+    // a large buffer that are never written never become resident.
+    let commas = bytes[*pos..].iter().filter(|&&b| b == b',').count();
+    let mut updates = Vec::with_capacity(commas + 1);
+    json::skip_ws(bytes, pos);
+    if bytes.get(*pos) == Some(&b']') {
+        *pos += 1;
+        return Some(updates);
+    }
+    loop {
+        json::skip_ws(bytes, pos);
+        let update = if bytes.get(*pos) == Some(&b'[') {
+            *pos += 1;
+            json::skip_ws(bytes, pos);
+            let item = scan_u64(bytes, pos)?;
+            scan_byte(bytes, pos, b',')?;
+            json::skip_ws(bytes, pos);
+            let delta = scan_i64(bytes, pos)?;
+            scan_byte(bytes, pos, b']')?;
+            Update::Turnstile { item, delta }
+        } else {
+            Update::Insert(scan_u64(bytes, pos)?)
+        };
+        updates.push(update);
+        json::skip_ws(bytes, pos);
+        match bytes.get(*pos)? {
+            b',' => *pos += 1,
+            b']' => {
+                *pos += 1;
+                return Some(updates);
+            }
+            _ => return None,
+        }
+    }
+}
+
+/// Whitespace, then exactly `b`.
+fn scan_byte(bytes: &[u8], pos: &mut usize, b: u8) -> Option<()> {
+    json::skip_ws(bytes, pos);
+    (bytes.get(*pos) == Some(&b)).then(|| *pos += 1)
+}
+
+/// One or more digits, in `u64` range. A fraction, exponent or sign after
+/// them needs no check here: the caller then wants `,` or `]`, so it
+/// falls back to the tokenizer.
+fn scan_u64(bytes: &[u8], pos: &mut usize) -> Option<u64> {
+    let start = *pos;
+    let mut n: u64 = 0;
+    while let Some(&b @ b'0'..=b'9') = bytes.get(*pos) {
+        n = n.checked_mul(10)?.checked_add(u64::from(b - b'0'))?;
+        *pos += 1;
+    }
+    (*pos > start).then_some(n)
+}
+
+/// An integer token in `i64` range.
+fn scan_i64(bytes: &[u8], pos: &mut usize) -> Option<i64> {
+    if bytes.get(*pos) == Some(&b'-') {
+        *pos += 1;
+        0i64.checked_sub_unsigned(scan_u64(bytes, pos)?)
+    } else {
+        i64::try_from(scan_u64(bytes, pos)?).ok()
     }
 }
 
@@ -381,6 +511,35 @@ mod tests {
                 ],
             }
         );
+        // Edge inputs of the decoder: range limits, a negative zero,
+        // leading zeros, whitespace between tokens and an empty batch.
+        for (updates, expect) in [
+            ("[18446744073709551615]", vec![Update::Insert(u64::MAX)]),
+            (
+                "[[1,-9223372036854775808]]",
+                vec![Update::Turnstile {
+                    item: 1,
+                    delta: i64::MIN,
+                }],
+            ),
+            ("[[2,-0]]", vec![Update::Turnstile { item: 2, delta: 0 }]),
+            ("[007]", vec![Update::Insert(7)]),
+            (
+                " [ 4 ,\t[ 5 , -6 ]\r\n] ",
+                vec![Update::Insert(4), Update::Turnstile { item: 5, delta: -6 }],
+            ),
+            ("[]", vec![]),
+        ] {
+            let line = format!(r#"{{"cmd":"ingest","tenant":"t1","updates":{updates}}}"#);
+            assert_eq!(
+                parse_request(&line).unwrap(),
+                Request::Ingest {
+                    tenant: "t1".into(),
+                    updates: expect,
+                },
+                "{line}"
+            );
+        }
         assert_eq!(
             parse_request(r#"{"cmd":"query","tenant":"t1"}"#).unwrap(),
             Request::Query {
@@ -434,6 +593,12 @@ mod tests {
             r#"{"cmd":"snapshot","tenant":"t","path":""}"#,
             r#"{"cmd":"restore"}"#,
             r#"{"cmd":"restore","path":17}"#,
+            r#"{"cmd":"ingest","tenant":"t","updates":[18446744073709551616]}"#,
+            r#"{"cmd":"ingest","tenant":"t","updates":[[1,9223372036854775808]]}"#,
+            r#"{"cmd":"ingest","tenant":"t","updates":[1e3]}"#,
+            r#"{"cmd":"ingest","tenant":"t","updates":[1.0]}"#,
+            r#"{"cmd":"ingest","tenant":"t","updates":[1,]}"#,
+            r#"{"cmd":"ingest","tenant":"t","updates":[-4],"x":}"#,
         ] {
             let err = parse_request(line).unwrap_err();
             assert_eq!(err.kind, ErrorKind::BadRequest, "{line}");

@@ -322,8 +322,11 @@ impl Session {
         Ok(())
     }
 
-    /// Extract the next complete line (newline and any `\r` stripped).
-    fn take_line(&mut self) -> Option<String> {
+    /// Extract the next complete line (newline and any `\r` stripped). A
+    /// line that is not UTF-8 comes back as a typed refusal: decoding it
+    /// lossily would turn distinct byte strings, such as two tenant ids,
+    /// into one.
+    fn take_line(&mut self) -> Option<Result<String, ProtoError>> {
         match self.rbuf[self.scan..].iter().position(|&b| b == b'\n') {
             Some(rel) => {
                 let end = self.scan + rel;
@@ -331,7 +334,12 @@ impl Session {
                 if line.last() == Some(&b'\r') {
                     line = &line[..line.len() - 1];
                 }
-                let s = String::from_utf8_lossy(line).into_owned();
+                let s = std::str::from_utf8(line).map(str::to_owned).map_err(|e| {
+                    ProtoError::new(
+                        ErrorKind::BadRequest,
+                        format!("request line is not valid UTF-8: {e}"),
+                    )
+                });
                 self.rpos = end + 1;
                 self.scan = self.rpos;
                 if self.rpos == self.rbuf.len() {
@@ -645,18 +653,25 @@ impl Reactor {
         loop {
             while sess.pending.is_none() && !sess.closing && sess.backlog() < WRITE_HIGH_WATER {
                 match sess.take_line() {
+                    Some(Ok(line)) if line.trim().is_empty() => continue,
                     Some(line) => {
-                        if line.trim().is_empty() {
-                            continue;
-                        }
                         self.shared.requests.fetch_add(1, Ordering::Relaxed);
                         sess.drain_idle_since = None;
-                        let mut park = Park {
-                            hub: &self.hub,
-                            token: sess.token,
-                            deferred: &mut self.deferred,
+                        let outcome = match line {
+                            Ok(line) => {
+                                let mut park = Park {
+                                    hub: &self.hub,
+                                    token: sess.token,
+                                    deferred: &mut self.deferred,
+                                };
+                                dispatch::handle_line(&self.shared, &mut park, &line)
+                            }
+                            Err(refusal) => Outcome::Reply {
+                                reply: refusal.to_json(),
+                                end: false,
+                            },
                         };
-                        match dispatch::handle_line(&self.shared, &mut park, &line) {
+                        match outcome {
                             Outcome::Reply { reply, end } => {
                                 self.queue_reply(sess, &reply);
                                 if end {

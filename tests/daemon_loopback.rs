@@ -29,13 +29,22 @@ impl Session {
 
     /// Send one request line, read and parse the one reply line.
     fn roundtrip(&mut self, line: &str) -> Json {
+        self.roundtrip_bytes(line.as_bytes())
+    }
+
+    /// [`Session::roundtrip`] for a line that need not be UTF-8.
+    fn roundtrip_bytes(&mut self, line: &[u8]) -> Json {
         self.writer
-            .write_all(line.as_bytes())
+            .write_all(line)
             .and_then(|_| self.writer.write_all(b"\n"))
             .expect("send request");
         let mut reply = String::new();
         let n = self.reader.read_line(&mut reply).expect("read reply");
-        assert!(n > 0, "daemon closed the connection after {line:?}");
+        assert!(
+            n > 0,
+            "daemon closed the connection after {:?}",
+            String::from_utf8_lossy(line)
+        );
         Json::parse(reply.trim_end()).unwrap_or_else(|e| panic!("malformed reply {reply:?}: {e}"))
     }
 
@@ -463,6 +472,60 @@ fn hello_racing_a_drain_cannot_create_a_tenant() {
     let finals = server.wait();
     let tenants = finals.get("tenants").expect("tenants rollup");
     assert_eq!(tenants.get("count").and_then(Json::as_u64), Some(0));
+}
+
+/// A request line that is not UTF-8 is refused with a typed error, and the
+/// session keeps serving. Decoded lossily, the tenant ids `"\xff"` and
+/// `"\xfe"` would both become `"\u{FFFD}"`, and one session could read
+/// another's tenant.
+#[test]
+fn non_utf8_request_lines_are_refused_not_aliased() {
+    let server = Server::start(DaemonConfig {
+        listen: "127.0.0.1:0".into(),
+        threads: 1,
+        ..DaemonConfig::default()
+    })
+    .expect("start daemon");
+    let mut a = Session::connect(server.addr());
+    let mut b = Session::connect(server.addr());
+    let line = |prefix: &str, tenant: u8, suffix: &str| -> Vec<u8> {
+        [prefix.as_bytes(), &[tenant], suffix.as_bytes()].concat()
+    };
+    let refused = |reply: Json| {
+        let error = reply.get("error");
+        assert_eq!(
+            error.and_then(|e| e.get("kind")).and_then(Json::as_str),
+            Some("bad_request"),
+            "{}",
+            reply.to_line()
+        );
+        let message = error.and_then(|e| e.get("message")).and_then(Json::as_str);
+        assert!(
+            message.is_some_and(|m| m.contains("UTF-8")),
+            "{}",
+            reply.to_line()
+        );
+    };
+    refused(a.roundtrip_bytes(&line(
+        r#"{"cmd":"hello","tenant":""#,
+        0xff,
+        r#"","alg":"count_min","seed":1}"#,
+    )));
+    refused(a.roundtrip_bytes(&line(
+        r#"{"cmd":"ingest","tenant":""#,
+        0xff,
+        r#"","updates":[1,1,1]}"#,
+    )));
+    refused(b.roundtrip_bytes(&line(r#"{"cmd":"query","tenant":""#, 0xfe, r#""}"#)));
+    // Both sessions are still alive and serving.
+    a.expect_ok("{\"cmd\":\"hello\",\"tenant\":\"t\",\"alg\":\"count_min\",\"seed\":1}");
+    b.expect_ok("{\"cmd\":\"query\",\"tenant\":\"t\"}");
+    a.expect_ok("{\"cmd\":\"bye\"}");
+    b.expect_ok("{\"cmd\":\"bye\"}");
+    server.begin_drain();
+    let finals = server.wait();
+    let tenants = finals.get("tenants").expect("tenants rollup");
+    assert_eq!(tenants.get("count").and_then(Json::as_u64), Some(1));
 }
 
 /// Ingest deterministically per test: `count` inserts over a small
