@@ -1,11 +1,8 @@
-//! Sharded vs single-stream ingestion throughput — the acceptance gauge
-//! for the `wb_engine::shard` scale-out path. Measures one logical stream
-//! ingested (a) single-stream through `process_batch_dyn`, (b) partitioned
-//! across 4 shard instances on 1 worker (pure partition+merge overhead),
-//! and (c) the same 4 shards on 4 workers. The (b)→(c) gap is the
-//! multi-core win and only appears with >1 physical core — on a 1-core
-//! host (b) and (c) coincide and both read as the sharding overhead that
-//! real parallel hardware has to amortize.
+//! Sharded vs single-stream ingestion throughput — the cost gauge for the
+//! `wb_engine::shard` path. Measures one logical stream ingested (a)
+//! single-stream through `process_batch_dyn` and (b) partitioned across 4
+//! shard instances on the caller's thread. The (a)→(b) gap is the
+//! partition + merge overhead.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use wb_core::rng::TranscriptRng;
@@ -40,22 +37,18 @@ fn bench_sharded_ingestion(c: &mut Criterion) {
                 black_box(a.query_dyn())
             })
         });
-        for threads in [1usize, 4] {
-            g.bench_function(&format!("shards_4_threads_{threads}"), |b| {
-                b.iter(|| {
-                    let cfg = ShardConfig {
-                        shards: 4,
-                        partition: Partition::Hash,
-                        threads,
-                        batch: BATCH,
-                        master_seed: 1,
-                    };
-                    let out =
-                        ingest_sharded(&|_| registry::get(alg, &params), &stream, &cfg).unwrap();
-                    black_box(out.merged.query_dyn())
-                })
-            });
-        }
+        g.bench_function("shards_4", |b| {
+            b.iter(|| {
+                let cfg = ShardConfig {
+                    shards: 4,
+                    partition: Partition::Hash,
+                    batch: BATCH,
+                    master_seed: 1,
+                };
+                let out = ingest_sharded(&|_| registry::get(alg, &params), &stream, &cfg).unwrap();
+                black_box(out.merged.query_dyn())
+            })
+        });
         g.finish();
     }
 }

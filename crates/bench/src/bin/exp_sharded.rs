@@ -11,9 +11,7 @@
 //! max/mean) from the pipeline's [`wb_engine::shard::ShardStats`]. All
 //! cells are deterministic — throughput lives in the `bench_shard`
 //! criterion bench, not here — so the JSON report stays byte-identical
-//! across runs and thread counts; the scheduling-dependent queue-stall
-//! counters from the same stats are printed to stderr instead of the
-//! report.
+//! across runs.
 
 use wb_core::rng::TranscriptRng;
 use wb_engine::experiment::{run_cli, ExperimentSpec, Row, RunnerConfig, Section};
@@ -90,13 +88,12 @@ fn main() {
                     };
                     // Ground truth (single-stream state + referee) needs the
                     // materialized stream; the sharded path streams the same
-                    // spec through the chunk-queue pipeline.
+                    // spec through the shard pipeline.
                     let updates: Vec<Update> = spec.generate();
                     let ctor = |_: usize| registry::get(alg, &params);
                     let cfg = ShardConfig {
                         shards,
                         partition,
-                        threads: 0,
                         batch: 512,
                         master_seed: 97,
                     };
@@ -112,17 +109,6 @@ fn main() {
                     let mut ref_ = referee.build();
                     ref_.observe_batch(&updates);
                     let ok = ref_.check(m, &merged_answer).is_correct();
-                    // Queue stalls are real backpressure data but depend on
-                    // scheduling, so they go to stderr as diagnostics — the
-                    // report itself stays byte-identical across runs.
-                    if out.stats.total_stalls() > 0 {
-                        eprintln!(
-                            "[backpressure] {alg} x{shards} {}: {} producer stalls {:?}",
-                            partition.label(),
-                            out.stats.total_stalls(),
-                            out.stats.queue_stalls,
-                        );
-                    }
                     vec![
                         partition.label().to_string(),
                         format!("{drift:.1}"),

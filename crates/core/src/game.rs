@@ -9,11 +9,12 @@
 //! 3. the algorithm answers the fixed query; a [`Referee`] holding exact
 //!    ground truth checks it. The adversary wins if any answer is wrong.
 //!
-//! [`run_game`] drives the loop and reports the first violation (if any),
-//! the number of rounds survived, and the peak space used.
+//! This module holds the players' traits and the [`GameResult`] record; the
+//! `wb-engine` crate's `Game` builder drives the loop and reports the first
+//! violation (if any), the number of rounds survived, and the peak space
+//! used.
 
-use crate::rng::{RandTranscript, TranscriptRng};
-use crate::space::SpaceUsage;
+use crate::rng::RandTranscript;
 use crate::stream::StreamAlg;
 
 /// The referee's judgement of one answer.
@@ -91,68 +92,6 @@ impl GameResult {
     /// `true` iff the algorithm was correct at every round.
     pub fn survived(&self) -> bool {
         self.failure.is_none()
-    }
-}
-
-/// Runs the white-box game for at most `max_rounds` rounds.
-///
-/// `seed` is the algorithm's **public** random seed; the adversary can
-/// replay the entire tape from it (see [`RandTranscript::replay`]).
-/// The game stops at the first violation (the adversary has already won),
-/// when the adversary returns `None`, or after `max_rounds`.
-///
-/// Deprecated: this five-positional-argument entry point is kept as a thin
-/// compatibility shim. New code should drive games through the fluent
-/// builder in the `wb-engine` crate
-/// (`wb_engine::Game::new(alg).adversary(adv).referee(r).max_rounds(m).seed(s).run()`),
-/// which adds observers, structured reports and batched ingestion.
-#[deprecated(
-    since = "0.2.0",
-    note = "drive games through wb_engine::Game (fluent builder); this shim will be removed"
-)]
-pub fn run_game<A, Adv, R>(
-    alg: &mut A,
-    adversary: &mut Adv,
-    referee: &mut R,
-    max_rounds: u64,
-    seed: u64,
-) -> GameResult
-where
-    A: StreamAlg + SpaceUsage,
-    Adv: WhiteBoxAdversary<A>,
-    R: Referee<A>,
-{
-    let mut rng = TranscriptRng::from_seed(seed);
-    let mut last_output: Option<A::Output> = None;
-    let mut peak = alg.space_bits();
-    let mut rounds = 0;
-    let mut failure = None;
-
-    for t in 1..=max_rounds {
-        let update = match adversary.next_update(t, alg, rng.transcript(), last_output.as_ref()) {
-            Some(u) => u,
-            None => break,
-        };
-        referee.observe(&update);
-        alg.process(&update, &mut rng);
-        rounds = t;
-        peak = peak.max(alg.space_bits());
-        let output = alg.query();
-        if let Verdict::Violation(description) = referee.check(t, &output) {
-            failure = Some(Failure {
-                round: t,
-                description,
-            });
-            break;
-        }
-        last_output = Some(output);
-    }
-
-    GameResult {
-        rounds,
-        failure,
-        peak_space_bits: peak,
-        final_space_bits: alg.space_bits(),
     }
 }
 
@@ -277,155 +216,8 @@ where
 }
 
 #[cfg(test)]
-#[allow(deprecated)] // the shim's own unit tests keep exercising it
 mod tests {
     use super::*;
-    use crate::space::bits_for_count;
-    use crate::stream::InsertOnly;
-
-    /// Exact counter: deterministic and always correct.
-    struct ExactCounter(u64);
-    impl StreamAlg for ExactCounter {
-        type Update = InsertOnly;
-        type Output = u64;
-        fn process(&mut self, _u: &InsertOnly, _rng: &mut TranscriptRng) {
-            self.0 += 1;
-        }
-        fn query(&self) -> u64 {
-            self.0
-        }
-    }
-    impl SpaceUsage for ExactCounter {
-        fn space_bits(&self) -> u64 {
-            bits_for_count(self.0)
-        }
-    }
-
-    /// A "leaky" randomized counter that adds a random word to its state and
-    /// is wrong as soon as the adversary predicts that word — a toy showing
-    /// the white-box view in action.
-    struct LeakyCounter {
-        count: u64,
-        pad: u64,
-    }
-    impl StreamAlg for LeakyCounter {
-        type Update = InsertOnly;
-        type Output = u64;
-        fn process(&mut self, u: &InsertOnly, rng: &mut TranscriptRng) {
-            // The counter wrongly trusts the update value whenever the item
-            // equals its current pad (an adversary-reachable trap state);
-            // the pad is then redrawn, so only a state-observing adversary
-            // can hit the trap reliably.
-            if u.0 == self.pad % 1000 {
-                self.count += 2;
-            } else {
-                self.count += 1;
-            }
-            self.pad = rng.next_u64();
-        }
-        fn query(&self) -> u64 {
-            self.count
-        }
-    }
-    impl SpaceUsage for LeakyCounter {
-        fn space_bits(&self) -> u64 {
-            bits_for_count(self.count) + 64
-        }
-    }
-
-    #[test]
-    fn exact_counter_survives_any_script() {
-        let mut alg = ExactCounter(0);
-        let mut adv = ScriptAdversary::new((0..500).map(InsertOnly).collect::<Vec<_>>());
-        let mut referee = FnReferee::new(|t: u64, out: &u64| {
-            if *out == t {
-                Verdict::Correct
-            } else {
-                Verdict::violation(format!("expected {t}, got {out}"))
-            }
-        });
-        let result = run_game(&mut alg, &mut adv, &mut referee, 1_000, 1);
-        assert!(result.survived());
-        assert_eq!(result.rounds, 500);
-        assert!(result.peak_space_bits >= bits_for_count(500));
-    }
-
-    #[test]
-    fn white_box_adversary_beats_leaky_counter() {
-        // The adversary reads the pad from the algorithm's state (white-box!)
-        // and sends exactly the item that triggers the double count.
-        let mut alg = LeakyCounter { count: 0, pad: 0 };
-        let mut adv = FnAdversary::new(
-            |_t: u64, alg: &LeakyCounter, _tr: &RandTranscript, _last: Option<&u64>| {
-                Some(InsertOnly(alg.pad % 1000))
-            },
-        );
-        let mut referee = FnReferee::new(|t: u64, out: &u64| {
-            if *out == t {
-                Verdict::Correct
-            } else {
-                Verdict::violation(format!("expected {t}, got {out}"))
-            }
-        });
-        let result = run_game(&mut alg, &mut adv, &mut referee, 1_000, 2);
-        assert!(
-            !result.survived(),
-            "adversary should exploit the state leak"
-        );
-        // First adaptive exploitation is possible from round 2 onward (pad is
-        // drawn during round 1).
-        let failure = result.failure.unwrap();
-        assert!(
-            failure.round <= 10,
-            "exploit should land almost immediately"
-        );
-    }
-
-    #[test]
-    fn blind_adversary_rarely_beats_leaky_counter_quickly() {
-        // The same trap state exists, but a script adversary cannot see the
-        // pad; hitting `pad % 1000` blindly is a 1/1000-per-round event.
-        let mut alg = LeakyCounter { count: 0, pad: 0 };
-        let mut adv = ScriptAdversary::new(vec![InsertOnly(1); 20]);
-        let mut referee = FnReferee::new(|t: u64, out: &u64| {
-            if *out == t {
-                Verdict::Correct
-            } else {
-                Verdict::violation("miscount")
-            }
-        });
-        let result = run_game(&mut alg, &mut adv, &mut referee, 20, 3);
-        // With this fixed seed, 20 blind rounds never hit the trap.
-        assert!(result.survived());
-    }
-
-    #[test]
-    fn adversary_can_stop_early() {
-        let mut alg = ExactCounter(0);
-        let mut adv = ScriptAdversary::new(vec![InsertOnly(0); 3]);
-        let mut referee = FnReferee::new(|_t, _out: &u64| Verdict::Correct);
-        let result = run_game(&mut alg, &mut adv, &mut referee, 100, 4);
-        assert_eq!(result.rounds, 3);
-        assert!(result.survived());
-    }
-
-    #[test]
-    fn game_stops_at_first_violation() {
-        let mut alg = ExactCounter(0);
-        let mut adv = ScriptAdversary::new(vec![InsertOnly(0); 100]);
-        // Referee that (incorrectly for the test's purposes) demands the
-        // count never exceed 5 — forces a violation at round 6.
-        let mut referee = FnReferee::new(|_t, out: &u64| {
-            if *out <= 5 {
-                Verdict::Correct
-            } else {
-                Verdict::violation("count exceeded 5")
-            }
-        });
-        let result = run_game(&mut alg, &mut adv, &mut referee, 100, 5);
-        assert_eq!(result.rounds, 6);
-        assert_eq!(result.failure.as_ref().unwrap().round, 6);
-    }
 
     #[test]
     fn verdict_helpers() {

@@ -17,10 +17,9 @@
 //!
 //! The crate provides:
 //!
-//! * [`game`] — the adversary/referee traits and game results (the
-//!   positional `run_game` loop is a deprecated shim; games are driven
-//!   through the fluent builder in the `wb-engine` crate); the algorithm
-//!   value itself is handed to the adversary by shared reference, which is
+//! * [`game`] — the adversary/referee traits and game results (games are
+//!   driven through the fluent builder in the `wb-engine` crate); the
+//!   algorithm value itself is handed to the adversary by shared reference, which is
 //!   the strongest possible reading of "observes the entire internal
 //!   state";
 //! * [`rng`] — deterministic, fully transparent randomness: every word the
@@ -80,20 +79,6 @@
 //! let mut named = registry::get("misra_gries", &Params::default()).unwrap();
 //! assert_eq!(named.name_dyn(), "MisraGries");
 //! ```
-//!
-//! ## Migrating from `run_game`
-//!
-//! The positional `run_game(alg, adv, referee, max_rounds, seed)` shim maps
-//! onto the builder one argument at a time:
-//!
-//! ```text
-//! run_game(&mut alg, &mut adv, &mut ref_, m, s)
-//!   ⇒ Game::new(alg).adversary(adv).referee(ref_).max_rounds(m).seed(s).run()
-//! ```
-//!
-//! The builder returns a `GameReport` whose `.result` field is the old
-//! [`GameResult`]; use `.play()` instead of `.run()` to get the final
-//! algorithm state back alongside the report.
 
 pub mod error;
 pub mod game;
@@ -105,8 +90,6 @@ pub mod space;
 pub mod stream;
 
 pub use error::WbError;
-#[allow(deprecated)] // re-exported for the migration window; see wb-engine
-pub use game::run_game;
 pub use game::{GameResult, Referee, Verdict, WhiteBoxAdversary};
 pub use merge::{MergeError, Mergeable};
 pub use rng::{RandTranscript, TranscriptRng};

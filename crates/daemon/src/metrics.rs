@@ -8,7 +8,7 @@
 //! |---|---|
 //! | per-tenant accepted/applied/rejected, rate | tenant counters |
 //! | per-tenant pending chunks, inbox stalls | the bounded inbox |
-//! | per-shard loads, skew, queue stalls | `wb_engine::shard::ShardStats` |
+//! | per-shard loads, skew | `wb_engine::shard::ShardStats` |
 //! | pool depth, peak, submit stalls | `wb_engine::pool::PoolStats` |
 //! | session lifecycle, request/error counts | server atomics |
 
@@ -59,10 +59,6 @@ pub fn tenant_json(st: &TenantState) -> Json {
             Json::Arr(stats.loads.iter().map(|&l| Json::from(l as u64)).collect()),
         ));
         members.push(("shard_skew", Json::from(stats.skew())));
-        members.push((
-            "shard_queue_stalls",
-            Json::Arr(stats.queue_stalls.iter().map(|&s| Json::from(s)).collect()),
-        ));
     }
     obj(members)
 }
@@ -75,16 +71,12 @@ pub fn snapshot(shared: &Shared) -> Json {
     let tenants = shared.tenants.lock().unwrap();
     let mut per_tenant = Vec::with_capacity(tenants.len());
     let (mut accepted, mut applied, mut rejected, mut inbox_stalls) = (0u64, 0u64, 0u64, 0u64);
-    let mut shard_queue_stalls = 0u64;
     for slot in tenants.values() {
         let st = slot.state.lock().unwrap();
         accepted += st.tenant.accepted;
         applied += st.tenant.applied;
         rejected += st.tenant.rejected;
         inbox_stalls += st.inbox_stalls;
-        if let Some(stats) = st.tenant.shard_stats() {
-            shard_queue_stalls += stats.total_stalls();
-        }
         per_tenant.push(tenant_json(&st));
     }
     let reactor = &shared.reactor;
@@ -170,7 +162,6 @@ pub fn snapshot(shared: &Shared) -> Json {
                 ("applied", Json::from(applied)),
                 ("rejected", Json::from(rejected)),
                 ("inbox_stalls", Json::from(inbox_stalls)),
-                ("shard_queue_stalls", Json::from(shard_queue_stalls)),
             ]),
         ),
         ("per_tenant", Json::Arr(per_tenant)),

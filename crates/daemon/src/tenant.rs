@@ -128,7 +128,6 @@ impl Tenant {
             let cfg = ShardConfig {
                 shards,
                 partition: Partition::Hash,
-                threads: 1,
                 batch,
                 master_seed: game_seed,
             };
@@ -586,7 +585,6 @@ mod tests {
                 let cfg = ShardConfig {
                     shards: default_shards,
                     partition: Partition::Hash,
-                    threads: 1,
                     batch: 64,
                     master_seed: game_seed,
                 };

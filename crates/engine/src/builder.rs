@@ -21,11 +21,12 @@
 //! assert_eq!(timeline.rounds.len(), 500);
 //! ```
 //!
-//! Replaces the positional `wb_core::game::run_game(alg, adv, referee, m,
-//! seed)` call (kept as a deprecated shim); adds [`Observer`] hooks,
-//! structured [`GameReport`]s with space/verdict timelines, and a batched
-//! ingestion path for oblivious scripts ([`Game::script`] +
-//! [`Game::batch`]).
+//! Two stream sources share one builder: an adaptive
+//! [`WhiteBoxAdversary`] plays one update per round, and an oblivious
+//! stream ([`Game::stream`], or [`Game::script`] for a materialized one)
+//! is ingested in [`Game::batch`]-sized chunks. Either way [`Observer`]
+//! hooks see every update and check, and the game returns a structured
+//! [`GameReport`] with space/verdict timelines.
 
 use crate::report::GameReport;
 use wb_core::game::{Referee, Verdict, WhiteBoxAdversary};
@@ -109,7 +110,7 @@ impl<A: StreamAlg> Observer<A> for RecordingObserver {
 }
 
 /// Placeholder adversary for a builder whose stream source has not been
-/// chosen yet (or is a script): it ends the stream immediately.
+/// chosen yet (or is an oblivious stream): it ends the stream immediately.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NoAdversary;
 
@@ -140,7 +141,6 @@ impl<A: StreamAlg> Referee<A> for AcceptAll {
 
 enum Driver<U, Adv> {
     Adversary(Adv),
-    Script(Vec<U>),
     /// A pull-based update stream: the prelude is generated (or read) lazily
     /// and ingested in `batch`-sized chunks through one reused buffer, so
     /// memory stays O(batch) for any stream length.
@@ -196,30 +196,25 @@ impl<A: StreamAlg, Adv, R, O> Game<A, Adv, R, O> {
         }
     }
 
-    /// Use a fixed, oblivious update script as the stream source. Script
-    /// games may ingest in batches ([`Game::batch`]) through the
-    /// algorithms' optimized [`StreamAlg::process_batch`] path.
-    pub fn script(self, updates: Vec<A::Update>) -> Game<A, NoAdversary, R, O> {
-        Game {
-            alg: self.alg,
-            driver: Driver::Script(updates),
-            referee: self.referee,
-            observer: self.observer,
-            max_rounds: self.max_rounds,
-            seed: self.seed,
-            batch: self.batch,
-        }
+    /// Use a fixed, oblivious update script as the stream source: a
+    /// [`Game::stream`] over the script's elements, so script games may
+    /// ingest in batches ([`Game::batch`]) through the algorithms'
+    /// optimized [`StreamAlg::process_batch`] path.
+    pub fn script(self, updates: Vec<A::Update>) -> Game<A, NoAdversary, R, O>
+    where
+        A::Update: 'static,
+    {
+        self.stream(updates.into_iter())
     }
 
     /// Use a lazy, pull-based update stream as the oblivious stream source:
     /// updates are drawn on demand and ingested in [`Game::batch`]-sized
     /// chunks through one reused buffer, so the game's memory is O(batch)
     /// regardless of the stream length — the typed mirror of the engine's
-    /// chunked prelude pipeline. Verdicts, rounds, and check counts are
-    /// identical to [`Game::script`] on the materialized equivalent; the
-    /// report's timeline *sampling stride* is derived from the iterator's
-    /// `size_hint`, so an inexact hint can sample at different rounds
-    /// (the timeline self-bounds either way).
+    /// chunked prelude pipeline. Verdicts, rounds, and check counts do not
+    /// depend on the iterator's `size_hint`; the report's timeline
+    /// *sampling stride* is derived from it, so an inexact hint can sample
+    /// at different rounds (the timeline self-bounds either way).
     pub fn stream(
         self,
         updates: impl Iterator<Item = A::Update> + 'static,
@@ -279,7 +274,7 @@ impl<A: StreamAlg, Adv, R, O> Game<A, Adv, R, O> {
         self
     }
 
-    /// Chunk size for script-mode batched ingestion (default 1 — check
+    /// Chunk size for script and stream ingestion (default 1 — check
     /// after every update, exactly the per-round game). Ignored for
     /// adaptive adversaries, which force one update per round by nature.
     pub fn batch(mut self, batch: usize) -> Self {
@@ -306,15 +301,11 @@ where
         let mut rng = TranscriptRng::from_seed(self.seed);
         let expected_checks = match &self.driver {
             Driver::Adversary(_) => self.max_rounds,
-            Driver::Script(updates) => {
-                (updates.len().min(self.max_rounds as usize) as u64).div_ceil(self.batch as u64)
-            }
             Driver::Stream(iter) => {
                 let (lo, hi) = iter.size_hint();
                 (hi.unwrap_or(lo).max(lo) as u64)
                     .min(self.max_rounds)
                     .div_ceil(self.batch as u64)
-                    .max(1)
             }
         };
         let mut report = GameReport::new(self.alg.space_bits(), expected_checks);
@@ -345,25 +336,6 @@ where
                         break;
                     }
                     last = Some(output);
-                }
-            }
-            Driver::Script(updates) => {
-                let total = updates.len().min(self.max_rounds as usize);
-                for chunk in updates[..total].chunks(self.batch) {
-                    for (k, update) in chunk.iter().enumerate() {
-                        self.observer.on_update(t + 1 + k as u64, update);
-                        self.referee.observe(update);
-                    }
-                    self.alg.process_batch(chunk, &mut rng);
-                    t += chunk.len() as u64;
-                    let space = self.alg.space_bits();
-                    let output = self.alg.query();
-                    let verdict = self.referee.check(t, &output);
-                    self.observer.on_round(t, &output, &verdict, space);
-                    report.record_check(t, space, &verdict);
-                    if !verdict.is_correct() {
-                        break;
-                    }
                 }
             }
             Driver::Stream(mut iter) => {
@@ -440,8 +412,40 @@ mod tests {
         })
     }
 
+    /// A "leaky" randomized counter that adds a random word to its state and
+    /// is wrong as soon as the adversary predicts that word — a toy showing
+    /// the white-box view in action.
+    struct LeakyCounter {
+        count: u64,
+        pad: u64,
+    }
+    impl StreamAlg for LeakyCounter {
+        type Update = InsertOnly;
+        type Output = u64;
+        fn process(&mut self, u: &InsertOnly, rng: &mut TranscriptRng) {
+            // The counter wrongly trusts the update value whenever the item
+            // equals its current pad (an adversary-reachable trap state);
+            // the pad is then redrawn, so only a state-observing adversary
+            // can hit the trap reliably.
+            if u.0 == self.pad % 1000 {
+                self.count += 2;
+            } else {
+                self.count += 1;
+            }
+            self.pad = rng.next_u64();
+        }
+        fn query(&self) -> u64 {
+            self.count
+        }
+    }
+    impl SpaceUsage for LeakyCounter {
+        fn space_bits(&self) -> u64 {
+            bits_for_count(self.count) + 64
+        }
+    }
+
     #[test]
-    fn builder_matches_run_game_semantics() {
+    fn adversary_game_survives_a_short_script() {
         let report = Game::new(ExactCounter(0))
             .adversary(ScriptAdversary::new(vec![InsertOnly(0); 100]))
             .referee(count_referee())
@@ -451,6 +455,49 @@ mod tests {
         assert!(report.survived());
         assert_eq!(report.result.rounds, 100);
         assert_eq!(report.checks, 100);
+        assert!(report.result.peak_space_bits >= bits_for_count(100));
+    }
+
+    #[test]
+    fn white_box_adversary_beats_leaky_counter() {
+        // The adversary reads the pad from the algorithm's state (white-box!)
+        // and sends exactly the item that triggers the double count.
+        let report = Game::new(LeakyCounter { count: 0, pad: 0 })
+            .adversary(FnAdversary::new(
+                |_t: u64, alg: &LeakyCounter, _tr: &RandTranscript, _last: Option<&u64>| {
+                    Some(InsertOnly(alg.pad % 1000))
+                },
+            ))
+            .referee(count_referee())
+            .max_rounds(1_000)
+            .seed(2)
+            .run();
+        assert!(
+            !report.survived(),
+            "adversary should exploit the state leak"
+        );
+        // First adaptive exploitation is possible from round 2 onward (pad is
+        // drawn during round 1).
+        let failure = report.result.failure.unwrap();
+        assert!(
+            failure.round <= 10,
+            "exploit should land almost immediately"
+        );
+    }
+
+    #[test]
+    fn blind_adversary_rarely_beats_leaky_counter_quickly() {
+        // The same trap state exists, but a script adversary cannot see the
+        // pad; hitting `pad % 1000` blindly is a 1/1000-per-round event.
+        let report = Game::new(LeakyCounter { count: 0, pad: 0 })
+            .adversary(ScriptAdversary::new(vec![InsertOnly(1); 20]))
+            .referee(count_referee())
+            .max_rounds(20)
+            .seed(3)
+            .run();
+        // With this fixed seed, 20 blind rounds never hit the trap.
+        assert!(report.survived());
+        assert_eq!(report.result.rounds, 20);
     }
 
     #[test]

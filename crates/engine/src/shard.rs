@@ -1,31 +1,24 @@
 //! Sharded ingestion: one logical stream, `S` shard instances, one merged
 //! answer — the first end-to-end scale-out path in the workspace.
 //!
-//! The pipeline is **streaming**: [`ingest_sharded_source`] pulls chunks
-//! from an [`UpdateSource`] on the caller's thread (the producer), routes
-//! each update to its shard's staging buffer, and hands full `batch`-sized
-//! chunks to the shard's consumer over a **bounded SPSC chunk queue**
-//! (consumers recycle emptied buffers back to the producer, so the whole
-//! run keeps O(S × batch) updates in flight regardless of the stream
-//! length — there are no materialized per-shard buckets). Each consumer
-//! ingests its chunks through the batched
-//! [`DynStreamAlg::process_batch_dyn`] path, and the caller then folds the
-//! shard states together with [`DynStreamAlg::merge_dyn`] in a
+//! Everything runs on the caller's thread through one [`ShardPipeline`].
+//! [`ingest_sharded_source`] is a pull loop over it: it pulls chunks from
+//! an [`UpdateSource`], routes each update to its shard's staging buffer,
+//! and hands every full `batch`-sized buffer to the shard's batched
+//! [`DynStreamAlg::process_batch_dyn`] path. The emptied buffer is reused,
+//! so a run keeps O(S × batch) updates resident whatever the stream
+//! length — there are no materialized per-shard buckets. At end of stream
+//! the shard states fold together with [`DynStreamAlg::merge_dyn`] in a
 //! **deterministic reduction tree**: level by level, shard `2i+1` merges
-//! into shard `2i`. Scheduling is invisible — each shard's update
-//! subsequence and chunk boundaries are pure functions of the stream and
-//! the config, shard seeds derive from the master seed via
-//! [`derive_seed`]`(master, ["shard", i])`, and merges happen in fixed
-//! tree order on the caller's thread — so the merged instance is a pure
-//! function of `(stream, algorithm, S, partition, batch, master_seed)`,
-//! byte-identical for every thread count and identical to the historical
-//! materialized-bucket implementation (asserted by the
-//! `streaming_pipeline` test suite).
-//!
-//! With `threads <= 1` the same routing runs fully inline on the caller's
-//! thread — no queues, no spawns — producing the identical chunk sequence
-//! per shard. The tournament uses this mode, because its cells already
-//! parallelize on the engine [pool](crate::pool).
+//! into shard `2i`. Each shard's update subsequence and chunk boundaries
+//! are pure functions of the stream and the config, and shard seeds derive
+//! from the master seed via [`derive_seed`]`(master, ["shard", i])`, so the
+//! merged instance is a pure function of
+//! `(stream, algorithm, S, partition, batch, master_seed)` — identical to
+//! the historical materialized-bucket implementation (asserted by the
+//! `streaming_pipeline` test suite). Parallelism lives one level up: the
+//! tournament runs whole cells on the engine [pool](crate::pool) and the
+//! daemon runs tenants on its worker pool.
 //!
 //! **White-box caveat.** Sharding never weakens the paper's adversary — it
 //! strengthens it: the adversary observes *every* shard's internal state
@@ -37,7 +30,6 @@
 
 use crate::erased::{DynStreamAlg, Update};
 use crate::workload::{SliceSource, UpdateSource};
-use std::sync::mpsc;
 use wb_core::merge::MergeError;
 use wb_core::rng::{derive_seed, SplitMix64, TranscriptRng};
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
@@ -66,6 +58,14 @@ impl Partition {
             Partition::RoundRobin => "round_robin",
         }
     }
+
+    /// The partition's tag in a [`ShardPipeline::checkpoint`] frame.
+    fn tag(self) -> u8 {
+        match self {
+            Partition::Hash => 0,
+            Partition::RoundRobin => 1,
+        }
+    }
 }
 
 /// Configuration of one sharded ingestion run.
@@ -75,14 +75,7 @@ pub struct ShardConfig {
     pub shards: usize,
     /// Routing rule.
     pub partition: Partition,
-    /// Threading mode: `1` runs the whole pipeline inline on the caller's
-    /// thread; anything that resolves to more than one worker (`0` = one
-    /// per core) spawns **one consumer thread per shard**, fed over
-    /// bounded chunk queues by the caller-thread producer. Both modes
-    /// produce bit-identical shard states.
-    pub threads: usize,
-    /// Chunk size for each shard's batched ingestion (and the unit of the
-    /// producer→consumer queues).
+    /// Chunk size for each shard's batched ingestion.
     pub batch: usize,
     /// Master seed; shard `i`'s random tape is seeded with
     /// `derive_seed(master_seed, ["shard", i])`.
@@ -94,7 +87,6 @@ impl Default for ShardConfig {
         ShardConfig {
             shards: 1,
             partition: Partition::Hash,
-            threads: 0,
             batch: 256,
             master_seed: 42,
         }
@@ -125,11 +117,7 @@ pub fn partition_updates(
         .map(|_| Vec::with_capacity(updates.len() / shards + 1))
         .collect();
     for (j, u) in updates.iter().enumerate() {
-        let s = match partition {
-            Partition::Hash => hash_shard(u.item(), shards),
-            Partition::RoundRobin => j % shards,
-        };
-        buckets[s].push(*u);
+        buckets[route(partition, u, j as u64, shards)].push(*u);
     }
     buckets
 }
@@ -138,8 +126,7 @@ pub fn partition_updates(
 /// level, instance `2i+1` merges into instance `2i`; survivors repeat until
 /// one remains. Equivalent to a left fold in outcome for associative
 /// merges, but the tree shape is part of the contract so reports stay
-/// byte-identical as the shard count varies only with `S`, never with the
-/// thread count.
+/// byte-identical: the merge order depends only on `S`.
 pub fn merge_reduce(
     mut instances: Vec<Box<dyn DynStreamAlg>>,
 ) -> Result<Box<dyn DynStreamAlg>, MergeError> {
@@ -158,30 +145,16 @@ pub fn merge_reduce(
     Ok(instances.pop().expect("one instance remains"))
 }
 
-/// Per-shard ingestion statistics: routed-item counts and bounded-queue
-/// backpressure, exported so callers (the daemon's metrics layer,
-/// `exp_sharded`) can see what used to be invisible internal state.
+/// Per-shard ingestion statistics: routed-item counts, exported so
+/// callers (the daemon's metrics layer, `exp_sharded`) can see how the
+/// stream was spread.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ShardStats {
     /// Updates routed to each shard; sums to the stream length.
     pub loads: Vec<usize>,
-    /// Producer stalls per shard: how often a full `batch`-sized chunk
-    /// found the shard's bounded SPSC queue full and the producer had to
-    /// block until the consumer freed a slot. Always zero in inline mode
-    /// (there are no queues) — a nonzero count means that shard's consumer
-    /// is the pipeline's bottleneck.
-    pub queue_stalls: Vec<u64>,
 }
 
 impl ShardStats {
-    /// All-zero stats for `shards` shards.
-    pub fn zeroed(shards: usize) -> Self {
-        ShardStats {
-            loads: vec![0; shards],
-            queue_stalls: vec![0; shards],
-        }
-    }
-
     /// Total updates routed across all shards.
     pub fn total(&self) -> u64 {
         self.loads.iter().map(|&l| l as u64).sum()
@@ -190,11 +163,6 @@ impl ShardStats {
     /// Largest per-shard load.
     pub fn max_load(&self) -> usize {
         self.loads.iter().copied().max().unwrap_or(0)
-    }
-
-    /// Total producer stalls across all queues.
-    pub fn total_stalls(&self) -> u64 {
-        self.queue_stalls.iter().sum()
     }
 
     /// Load skew: the largest shard's load divided by the mean load
@@ -215,15 +183,9 @@ impl ShardStats {
 pub struct ShardedIngest {
     /// The merged algorithm holding the whole stream's summary.
     pub merged: Box<dyn DynStreamAlg>,
-    /// How the stream was spread and how often the producer stalled.
+    /// How the stream was spread.
     pub stats: ShardStats,
 }
-
-/// How many in-flight chunks each shard's bounded queue may hold before
-/// the producer blocks. Together with the staging buffer and the buffers
-/// being recycled, this caps the pipeline's resident stream slice at
-/// `S × (QUEUE_CHUNKS + 2) × batch` updates — independent of `m`.
-const QUEUE_CHUNKS: usize = 2;
 
 /// The shard an update at global stream position `j` routes to.
 fn route(partition: Partition, u: &Update, j: u64, shards: usize) -> usize {
@@ -256,39 +218,9 @@ pub(crate) fn locate_failure(
     base
 }
 
-/// A shard's ingest error, annotated with the shard index and the failing
-/// offset within the shard's subsequence.
-fn shard_failure(
-    alg: &mut dyn DynStreamAlg,
-    rng: &mut TranscriptRng,
-    chunk: &[Update],
-    processed: u64,
-    shard: usize,
-    e: WbError,
-) -> WbError {
-    let off = locate_failure(alg, chunk, rng, processed);
-    WbError::invalid(format!(
-        "shard {shard}: {e} (first offending update at shard offset {off})"
-    ))
-}
-
-/// Merge the per-shard outcomes: the first error in **shard order** wins
-/// (never the first in wall-clock order, which scheduling could reorder),
-/// otherwise reduce the states.
-fn finish_sharded(
-    results: Vec<Result<Box<dyn DynStreamAlg>, WbError>>,
-    stats: ShardStats,
-) -> Result<ShardedIngest, WbError> {
-    let ingested: Result<Vec<Box<dyn DynStreamAlg>>, WbError> = results.into_iter().collect();
-    let merged =
-        merge_reduce(ingested?).map_err(|e| WbError::invalid(format!("sharded merge: {e}")))?;
-    Ok(ShardedIngest { merged, stats })
-}
-
 /// Ingest a pull-based stream across `cfg.shards` instances built by
 /// `ctor` and return the merged result, holding only O(shards × batch)
-/// updates in memory at any moment (see the module docs for the
-/// producer/consumer anatomy).
+/// updates in memory at any moment (see the module docs).
 ///
 /// `ctor(i)` must build shard `i`'s instance; for seeded sketches
 /// (CountMin, AmsF2) every shard must be constructed from the **same**
@@ -297,11 +229,10 @@ fn finish_sharded(
 /// deletion offered to an insertion-only sketch) surface as the underlying
 /// [`WbError`], annotated with the shard and the failing offset; when
 /// several shards fail, the error of the lowest-numbered shard is
-/// reported. The outcome is deterministic because each shard's **first**
-/// failure is what it reports, and a shard keeps consuming (without
-/// processing) after failing — production only stops early once *every*
-/// shard has failed, by which point all reports are fixed. Merge refusals
-/// are mapped into
+/// reported. Each shard reports its **first** failure and keeps receiving
+/// (without processing) its routed updates afterwards; the pull loop stops
+/// early only once *every* shard has failed, by which point all reports
+/// are fixed. Merge refusals are mapped into
 /// [`WbError::InvalidParameter`] with the typed error's message (probe
 /// with [`probe_mergeable`] first to branch on mergeability without paying
 /// for ingestion).
@@ -310,14 +241,17 @@ pub fn ingest_sharded_source(
     source: &mut dyn UpdateSource,
     cfg: &ShardConfig,
 ) -> Result<ShardedIngest, WbError> {
-    let shards = cfg.shards.max(1);
-    let instances: Result<Vec<Box<dyn DynStreamAlg>>, WbError> = (0..shards).map(ctor).collect();
-    let instances = instances?;
-    if crate::pool::effective_threads(cfg.threads) <= 1 || shards == 1 {
-        ingest_inline(instances, source, cfg)
-    } else {
-        ingest_threaded(instances, source, cfg)
+    let mut pipeline = ShardPipeline::new(ctor, cfg)?;
+    let mut buf: Vec<Update> = Vec::with_capacity(cfg.batch.max(1));
+    while source.next_chunk(&mut buf) > 0 {
+        pipeline.push(&buf);
+        // Once every shard has recorded its failure nothing that follows
+        // can change the outcome — stop generating.
+        if pipeline.all_failed() {
+            break;
+        }
     }
+    pipeline.finish()
 }
 
 /// Ingest an already-materialized slice — a [`SliceSource`] wrapper over
@@ -338,12 +272,10 @@ pub fn ingest_sharded(
 /// sessions push ingest batches as they arrive over the wire and query the
 /// merged answer whenever a client asks.
 ///
-/// Routing, chunk staging, per-shard random tapes, failure bookkeeping, and
-/// the final reduction-tree merge are all identical to the one-shot inline
-/// path (which is now a thin loop over this type), so a pipeline fed the
-/// same updates in any request sizes ends in shard states byte-identical to
-/// an offline [`ingest_sharded_source`] run of the concatenated stream —
-/// chunk boundaries are pure transport by the batching contract.
+/// [`ingest_sharded_source`] is a pull loop over this type, so a pipeline
+/// fed the same updates in any request sizes ends in shard states
+/// byte-identical to an offline run of the concatenated stream — chunk
+/// boundaries are pure transport by the batching contract.
 pub struct ShardPipeline {
     algs: Vec<Box<dyn DynStreamAlg>>,
     rngs: Vec<TranscriptRng>,
@@ -371,14 +303,9 @@ impl ShardPipeline {
     ) -> Result<Self, WbError> {
         let shards = cfg.shards.max(1);
         let algs: Result<Vec<Box<dyn DynStreamAlg>>, WbError> = (0..shards).map(ctor).collect();
-        Ok(Self::from_instances(algs?, cfg))
-    }
-
-    fn from_instances(instances: Vec<Box<dyn DynStreamAlg>>, cfg: &ShardConfig) -> Self {
-        let shards = instances.len();
         let batch = cfg.batch.max(1);
-        ShardPipeline {
-            algs: instances,
+        Ok(ShardPipeline {
+            algs: algs?,
             rngs: (0..shards)
                 .map(|i| TranscriptRng::from_seed(cfg.shard_seed(i)))
                 .collect(),
@@ -390,7 +317,7 @@ impl ShardPipeline {
             batch,
             pos: 0,
             dead: false,
-        }
+        })
     }
 
     /// Number of shard instances.
@@ -403,12 +330,10 @@ impl ShardPipeline {
         self.pos
     }
 
-    /// Current routed-load / stall statistics. Inline pipelines have no
-    /// queues, so stalls are always zero here.
+    /// Current routed-load statistics.
     pub fn stats(&self) -> ShardStats {
         ShardStats {
             loads: self.loads.clone(),
-            queue_stalls: vec![0; self.algs.len()],
         }
     }
 
@@ -429,26 +354,23 @@ impl ShardPipeline {
         self.dead
     }
 
-    fn deliver(&mut self, s: usize, take_staging: bool) {
-        let chunk = std::mem::take(&mut self.staging[s]);
+    /// Ingest shard `s`'s staged chunk and clear the buffer for reuse. A
+    /// chunk-level error is recorded as the shard's failure, annotated with
+    /// the shard index and the first failing offset in its subsequence.
+    fn deliver(&mut self, s: usize) {
+        let chunk = &self.staging[s];
         if self.failures[s].is_none() {
-            if let Err(e) = self.algs[s].process_batch_dyn(&chunk, &mut self.rngs[s]) {
-                self.failures[s] = Some(shard_failure(
-                    self.algs[s].as_mut(),
-                    &mut self.rngs[s],
-                    &chunk,
-                    self.processed[s],
-                    s,
-                    e,
-                ));
+            let alg = self.algs[s].as_mut();
+            if let Err(e) = alg.process_batch_dyn(chunk, &mut self.rngs[s]) {
+                let off = locate_failure(alg, chunk, &mut self.rngs[s], self.processed[s]);
+                self.failures[s] = Some(WbError::invalid(format!(
+                    "shard {s}: {e} (first offending update at shard offset {off})"
+                )));
                 self.dead = self.failures.iter().all(Option::is_some);
             }
         }
         self.processed[s] += chunk.len() as u64;
-        if take_staging {
-            self.staging[s] = chunk;
-            self.staging[s].clear();
-        }
+        self.staging[s].clear();
     }
 
     /// Route one update into its shard's staging buffer, delivering the
@@ -462,7 +384,7 @@ impl ShardPipeline {
         self.loads[s] += 1;
         self.staging[s].push(*u);
         if self.staging[s].len() >= self.batch {
-            self.deliver(s, true);
+            self.deliver(s);
         }
     }
 
@@ -484,8 +406,7 @@ impl ShardPipeline {
     pub fn flush(&mut self) {
         for s in 0..self.algs.len() {
             if !self.staging[s].is_empty() {
-                self.deliver(s, false);
-                self.staging[s] = Vec::with_capacity(self.batch);
+                self.deliver(s);
             }
         }
     }
@@ -549,10 +470,7 @@ impl ShardPipeline {
         }
         let mut w = SnapWriter::new();
         w.put_usize(self.algs.len());
-        w.put_u8(match self.partition {
-            Partition::Hash => 0,
-            Partition::RoundRobin => 1,
-        });
+        w.put_u8(self.partition.tag());
         w.put_usize(self.batch);
         w.put_u64(self.pos);
         let loads: Vec<u64> = self.loads.iter().map(|&l| l as u64).collect();
@@ -584,11 +502,7 @@ impl ShardPipeline {
             ));
         }
         let partition = r.take_u8()?;
-        let own = match self.partition {
-            Partition::Hash => 0,
-            Partition::RoundRobin => 1,
-        };
-        if partition != own {
+        if partition != self.partition.tag() {
             return Err(SnapError::mismatch(
                 self.partition.label(),
                 format!("partition tag {partition}"),
@@ -651,176 +565,14 @@ impl ShardPipeline {
     /// epilogue). The first failure in shard order wins.
     pub fn finish(mut self) -> Result<ShardedIngest, WbError> {
         self.flush();
-        let stats = self.stats();
-        let results = self
-            .algs
-            .into_iter()
-            .zip(self.failures)
-            .map(|(alg, failure)| match failure {
-                Some(e) => Err(e),
-                None => Ok(alg),
-            })
-            .collect();
-        finish_sharded(results, stats)
+        if let Some(e) = self.failures.into_iter().flatten().next() {
+            return Err(e);
+        }
+        let stats = ShardStats { loads: self.loads };
+        let merged =
+            merge_reduce(self.algs).map_err(|e| WbError::invalid(format!("sharded merge: {e}")))?;
+        Ok(ShardedIngest { merged, stats })
     }
-}
-
-/// Single-threaded pipeline: route and ingest on the caller's thread — a
-/// pull loop over the incremental [`ShardPipeline`].
-fn ingest_inline(
-    instances: Vec<Box<dyn DynStreamAlg>>,
-    source: &mut dyn UpdateSource,
-    cfg: &ShardConfig,
-) -> Result<ShardedIngest, WbError> {
-    let mut pipeline = ShardPipeline::from_instances(instances, cfg);
-    let mut buf: Vec<Update> = Vec::with_capacity(cfg.batch.max(1));
-    while source.next_chunk(&mut buf) > 0 {
-        pipeline.push(&buf);
-        // Once every shard has recorded its failure nothing that follows
-        // can change the outcome — stop generating.
-        if pipeline.all_failed() {
-            break;
-        }
-    }
-    pipeline.finish()
-}
-
-/// Multi-threaded pipeline: one consumer thread per shard behind a bounded
-/// SPSC chunk queue, the producer on the caller's thread.
-fn ingest_threaded(
-    instances: Vec<Box<dyn DynStreamAlg>>,
-    source: &mut dyn UpdateSource,
-    cfg: &ShardConfig,
-) -> Result<ShardedIngest, WbError> {
-    let shards = instances.len();
-    let batch = cfg.batch.max(1);
-    // Consumers bump this once, at their first failure; when it reaches
-    // `shards` the producer stops generating — nothing downstream can
-    // change the outcome once every shard's first failure is fixed.
-    let failed_shards = std::sync::atomic::AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let mut full_txs = Vec::with_capacity(shards);
-        let mut empty_rxs = Vec::with_capacity(shards);
-        let mut handles = Vec::with_capacity(shards);
-        for (i, mut alg) in instances.into_iter().enumerate() {
-            let (full_tx, full_rx) = mpsc::sync_channel::<Vec<Update>>(QUEUE_CHUNKS);
-            let (empty_tx, empty_rx) = mpsc::channel::<Vec<Update>>();
-            full_txs.push(full_tx);
-            empty_rxs.push(empty_rx);
-            let seed = cfg.shard_seed(i);
-            let failed_shards = &failed_shards;
-            handles.push(
-                scope.spawn(move || -> Result<Box<dyn DynStreamAlg>, WbError> {
-                    let mut rng = TranscriptRng::from_seed(seed);
-                    let mut failure: Option<WbError> = None;
-                    let mut processed = 0u64;
-                    // An errored consumer keeps draining (and recycling)
-                    // chunks instead of dropping its receiver: closing the
-                    // queue would abort the producer mid-stream and make
-                    // *which other shards also fail* depend on scheduling.
-                    for mut chunk in full_rx {
-                        if failure.is_none() {
-                            if let Err(e) = alg.process_batch_dyn(&chunk, &mut rng) {
-                                failure = Some(shard_failure(
-                                    alg.as_mut(),
-                                    &mut rng,
-                                    &chunk,
-                                    processed,
-                                    i,
-                                    e,
-                                ));
-                                failed_shards.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                            }
-                        }
-                        processed += chunk.len() as u64;
-                        chunk.clear();
-                        let _ = empty_tx.send(chunk);
-                    }
-                    match failure {
-                        Some(e) => Err(e),
-                        None => Ok(alg),
-                    }
-                }),
-            );
-        }
-
-        let mut staging: Vec<Vec<Update>> =
-            (0..shards).map(|_| Vec::with_capacity(batch)).collect();
-        let mut loads = vec![0usize; shards];
-        let mut queue_stalls = vec![0u64; shards];
-        let mut buf: Vec<Update> = Vec::with_capacity(batch);
-        let mut j = 0u64;
-        fn flush(
-            staging: &mut Vec<Update>,
-            full_tx: &mpsc::SyncSender<Vec<Update>>,
-            empty_rx: &mpsc::Receiver<Vec<Update>>,
-            batch: usize,
-            stalls: &mut u64,
-        ) {
-            let next = empty_rx
-                .try_recv()
-                .unwrap_or_else(|_| Vec::with_capacity(batch));
-            let chunk = std::mem::replace(staging, next);
-            // Offer without blocking first so a full queue is observable:
-            // when the consumer is the bottleneck, count the stall, then
-            // fall back to the blocking send. Consumers never close their
-            // queue while the producer lives, so send only fails if a
-            // consumer panicked — surfaced at join.
-            if let Err(mpsc::TrySendError::Full(chunk)) = full_tx.try_send(chunk) {
-                *stalls += 1;
-                let _ = full_tx.send(chunk);
-            }
-        }
-        while source.next_chunk(&mut buf) > 0 {
-            for u in &buf {
-                let s = route(cfg.partition, u, j, shards);
-                j += 1;
-                loads[s] += 1;
-                staging[s].push(*u);
-                if staging[s].len() >= batch {
-                    flush(
-                        &mut staging[s],
-                        &full_txs[s],
-                        &empty_rxs[s],
-                        batch,
-                        &mut queue_stalls[s],
-                    );
-                }
-            }
-            // Every shard has failed: the outcome (lowest shard's first
-            // failure) is already fixed, so stop generating the stream.
-            if failed_shards.load(std::sync::atomic::Ordering::Relaxed) >= shards {
-                break;
-            }
-        }
-        for s in 0..shards {
-            if !staging[s].is_empty() {
-                flush(
-                    &mut staging[s],
-                    &full_txs[s],
-                    &empty_rxs[s],
-                    batch,
-                    &mut queue_stalls[s],
-                );
-            }
-        }
-        drop(full_txs); // close the queues: consumers finish and return
-
-        let results = handles
-            .into_iter()
-            .map(|h| {
-                h.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            })
-            .collect();
-        finish_sharded(
-            results,
-            ShardStats {
-                loads,
-                queue_stalls,
-            },
-        )
-    })
 }
 
 /// `true` iff instances built by `ctor` can merge: constructs two fresh
@@ -887,35 +639,24 @@ mod tests {
     #[test]
     fn sharded_linear_sketch_equals_single_stream_exactly() {
         // CountMin is linear: the merged table must be bit-identical to
-        // single-stream ingestion, for both partitions and any threads.
+        // single-stream ingestion, for both partitions.
         let params = Params::default().with_n(1 << 10);
         let updates = zipfish(4000, 1 << 10);
         let mut single = registry::get("count_min", &params).unwrap();
         let mut rng = TranscriptRng::from_seed(1);
         single.process_batch_dyn(&updates, &mut rng).unwrap();
         for partition in [Partition::Hash, Partition::RoundRobin] {
-            for threads in [1usize, 4] {
-                let cfg = ShardConfig {
-                    shards: 4,
-                    partition,
-                    threads,
-                    batch: 128,
-                    master_seed: 7,
-                };
-                let out =
-                    ingest_sharded(&registry_ctor("count_min", params.clone()), &updates, &cfg)
-                        .unwrap();
-                assert_eq!(
-                    out.merged.query_dyn(),
-                    single.query_dyn(),
-                    "{partition:?} threads {threads}"
-                );
-                assert_eq!(out.merged.space_bits_dyn(), single.space_bits_dyn());
-                assert_eq!(out.stats.total(), 4000);
-                if threads == 1 {
-                    assert_eq!(out.stats.total_stalls(), 0, "inline mode has no queues");
-                }
-            }
+            let cfg = ShardConfig {
+                shards: 4,
+                partition,
+                batch: 128,
+                master_seed: 7,
+            };
+            let out = ingest_sharded(&registry_ctor("count_min", params.clone()), &updates, &cfg)
+                .unwrap();
+            assert_eq!(out.merged.query_dyn(), single.query_dyn(), "{partition:?}");
+            assert_eq!(out.merged.space_bits_dyn(), single.space_bits_dyn());
+            assert_eq!(out.stats.total(), 4000);
         }
     }
 
@@ -923,30 +664,16 @@ mod tests {
     fn sharded_counter_summary_is_deterministic_and_within_guarantee() {
         let params = Params::default().with_n(1 << 10);
         let updates = zipfish(6000, 1 << 10);
-        let cfg = |threads| ShardConfig {
+        let cfg = ShardConfig {
             shards: 8,
             partition: Partition::Hash,
-            threads,
             batch: 256,
             master_seed: 3,
         };
-        let a = ingest_sharded(
-            &registry_ctor("misra_gries", params.clone()),
-            &updates,
-            &cfg(1),
-        )
-        .unwrap();
-        let b = ingest_sharded(
-            &registry_ctor("misra_gries", params.clone()),
-            &updates,
-            &cfg(8),
-        )
-        .unwrap();
-        assert_eq!(
-            a.merged.query_dyn(),
-            b.merged.query_dyn(),
-            "thread count leaked into the merged state"
-        );
+        let ctor = registry_ctor("misra_gries", params);
+        let a = ingest_sharded(&ctor, &updates, &cfg).unwrap();
+        let b = ingest_sharded(&ctor, &updates, &cfg).unwrap();
+        assert_eq!(a.merged.query_dyn(), b.merged.query_dyn());
         // Items 1 (50%) and 2 (30%) are heavy and must be reported.
         let items = a.merged.query_dyn();
         let reported: Vec<u64> = items.as_items().unwrap().iter().map(|&(i, _)| i).collect();
@@ -1026,7 +753,6 @@ mod tests {
         let cfg = ShardConfig {
             shards: 4,
             partition: Partition::Hash,
-            threads: 1,
             batch: 128,
             master_seed: 11,
         };
@@ -1055,7 +781,6 @@ mod tests {
         let cfg = ShardConfig {
             shards: 4,
             partition: Partition::Hash,
-            threads: 1,
             batch: 64,
             master_seed: 5,
         };
@@ -1091,7 +816,6 @@ mod tests {
         let cfg = ShardConfig {
             shards: 4,
             partition: Partition::Hash,
-            threads: 1,
             batch: 128,
             master_seed: 13,
         };
@@ -1127,7 +851,6 @@ mod tests {
         let cfg = ShardConfig {
             shards: 4,
             partition: Partition::Hash,
-            threads: 1,
             batch: 128,
             master_seed: 13,
         };
@@ -1173,7 +896,6 @@ mod tests {
         let cfg = ShardConfig {
             shards: 2,
             partition: Partition::RoundRobin,
-            threads: 1,
             batch: 4,
             master_seed: 9,
         };

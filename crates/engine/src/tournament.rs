@@ -5,7 +5,7 @@
 //! the `exp_e*` binaries do not measure robustness breadth. This module
 //! enumerates the full registry cross-product — algorithm × adversary ×
 //! workload — and plays every cell as an erased game on the hand-rolled
-//! [pool](crate::pool), aggregating verdicts into a [`TournamentReport`].
+//! [pool], aggregating verdicts into a [`TournamentReport`].
 //!
 //! **Cell anatomy.** Each cell first ingests an *oblivious prelude* drawn
 //! from the named workload generator — the algorithm's state is preloaded
@@ -16,8 +16,8 @@
 //!
 //! **Streaming prelude.** The prelude is never materialized: chunks of
 //! `batch` updates are pulled from [`WorkloadSpec::stream`] into one
-//! reused buffer (flat mode) or routed through the bounded chunk queues of
-//! [`crate::shard`] (sharded mode), so a cell's memory is O(batch + n)
+//! reused buffer (flat mode) or routed through the per-shard staging
+//! buffers of [`crate::shard`] (sharded mode), so a cell's memory is O(batch + n)
 //! regardless of `prelude_m` — `--prelude-m 10_000_000` and beyond is a
 //! matter of wall-clock, not RAM. The chunk size is pure transport: the
 //! referee observes every update but checks the answer once, at the **end
@@ -933,7 +933,6 @@ fn play_cell(
         let shard_cfg = ShardConfig {
             shards,
             partition: Partition::Hash,
-            threads: 1, // cells already parallelize on the tournament pool
             batch,
             master_seed: game_seed,
         };

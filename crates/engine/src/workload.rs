@@ -1030,7 +1030,7 @@ enum StreamState {
 /// holding only the generator's RNG/position state, never the stream.
 ///
 /// Since the bulk-kernel rework, every variant consumes pre-filled raw
-/// words from a [`WordTape`] in the same order as the historical scalar
+/// words from a `WordTape` in the same order as the historical scalar
 /// draws; uniform, ddos, cycle, and script chunks are produced by
 /// vectorized kernels, zipf and churn by the shared per-draw logic over
 /// the buffered tape.

@@ -141,7 +141,6 @@ fn offline_answer(
         let cfg = ShardConfig {
             shards,
             partition: Partition::Hash,
-            threads: 1,
             batch: chunk,
             master_seed: game_seed,
         };

@@ -64,7 +64,6 @@ fn shard_config(shards: usize, partition: Partition, seed: u64) -> ShardConfig {
     ShardConfig {
         shards,
         partition,
-        threads: 2,
         batch: 128,
         master_seed: seed,
     }
@@ -172,24 +171,5 @@ fn every_registry_algorithm_has_a_definite_merge_story() {
             mergeable.contains(&name),
             "{name}: mergeability drifted from the documented set"
         );
-    }
-}
-
-#[test]
-fn sharded_ingest_is_thread_count_invariant() {
-    let updates: Vec<Update> = (0..2000u64)
-        .map(|t| Update::Insert(if t % 3 == 0 { 5 } else { t % 61 }))
-        .collect();
-    for name in LINEAR.iter().chain(COUNTER) {
-        let answers: Vec<Answer> = [1usize, 2, 8]
-            .into_iter()
-            .map(|threads| {
-                let mut cfg = shard_config(4, Partition::Hash, 11);
-                cfg.threads = threads;
-                sharded_answer(name, &updates, &cfg)
-            })
-            .collect();
-        assert_eq!(answers[0], answers[1], "{name}: 1 vs 2 threads");
-        assert_eq!(answers[0], answers[2], "{name}: 1 vs 8 threads");
     }
 }

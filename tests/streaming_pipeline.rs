@@ -3,10 +3,10 @@
 //!
 //! * `WorkloadSpec::stream()` chunk-concatenation equals `generate()` for
 //!   every workload variant and for chunk sizes {1, 7, 4096};
-//! * sharded ingestion through the bounded chunk queues matches the
+//! * sharded ingestion through the streaming pipeline matches the
 //!   classic materialized-bucket dataflow (`partition_updates` +
 //!   per-bucket batched ingest + reduction-tree merge) bit for bit, for
-//!   both partition rules and for inline and threaded modes;
+//!   both partition rules;
 //! * the tournament's report is invariant under the transport chunk size.
 
 use proptest::prelude::*;
@@ -62,7 +62,7 @@ fn concat_chunks(spec: &WorkloadSpec, chunk: usize) -> Vec<Update> {
 }
 
 /// The historical materialized-bucket sharded dataflow, kept here as the
-/// reference the streaming chunk queues are checked against.
+/// reference the streaming shard pipeline is checked against.
 fn ingest_bucketed(
     name: &str,
     params: &Params,
@@ -107,7 +107,7 @@ proptest! {
     }
 
     #[test]
-    fn sharded_chunk_queues_match_materialized_buckets(
+    fn sharded_pipeline_matches_materialized_buckets(
         m in 64u64..3000,
         seed in 0u64..1000,
         batch in 1usize..300,
@@ -118,31 +118,26 @@ proptest! {
         let params = Params::default().with_n(1 << 10);
         for name in ["misra_gries", "count_min"] {
             for partition in [Partition::Hash, Partition::RoundRobin] {
-                // threads: 1 exercises the inline pipeline, 4 the bounded
-                // SPSC chunk queues; both must equal the bucket reference.
-                for threads in [1usize, 4] {
-                    let cfg = ShardConfig {
-                        shards,
-                        partition,
-                        threads,
-                        batch,
-                        master_seed: 5,
-                    };
-                    let reference = ingest_bucketed(name, &params, &updates, &cfg);
-                    let ctor = |_: usize| registry::get(name, &params);
-                    let out = ingest_sharded_source(&ctor, &mut spec.stream(), &cfg).unwrap();
-                    prop_assert_eq!(
-                        out.merged.query_dyn(),
-                        reference.query_dyn(),
-                        "{} {:?} threads {} diverged from buckets",
-                        name, partition, threads
-                    );
-                    prop_assert_eq!(
-                        out.merged.space_bits_dyn(),
-                        reference.space_bits_dyn()
-                    );
-                    prop_assert_eq!(out.stats.total() as usize, updates.len());
-                }
+                let cfg = ShardConfig {
+                    shards,
+                    partition,
+                    batch,
+                    master_seed: 5,
+                };
+                let reference = ingest_bucketed(name, &params, &updates, &cfg);
+                let ctor = |_: usize| registry::get(name, &params);
+                let out = ingest_sharded_source(&ctor, &mut spec.stream(), &cfg).unwrap();
+                prop_assert_eq!(
+                    out.merged.query_dyn(),
+                    reference.query_dyn(),
+                    "{} {:?} diverged from buckets",
+                    name, partition
+                );
+                prop_assert_eq!(
+                    out.merged.space_bits_dyn(),
+                    reference.space_bits_dyn()
+                );
+                prop_assert_eq!(out.stats.total() as usize, updates.len());
             }
         }
     }
