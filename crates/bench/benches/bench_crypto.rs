@@ -6,7 +6,6 @@ use std::hint::black_box;
 use wb_core::rng::TranscriptRng;
 use wb_crypto::crhf::PedersenMd;
 use wb_crypto::modular::pow_mod;
-use wb_crypto::oracle::RandomOracle;
 use wb_crypto::sha256::sha256;
 use wb_crypto::sis::{SisMatrix, SisParams};
 
@@ -29,8 +28,18 @@ fn bench_primitives(c: &mut Criterion) {
     });
 
     c.bench_function("oracle_zq_column_d16", |b| {
-        let o = RandomOracle::new(b"bench");
-        b.iter(|| black_box(o.zq_column(black_box(3), 16, 1_000_003)))
+        let params = SisParams {
+            d: 16,
+            w: 64,
+            q: 1_000_003,
+            beta_inf: 100,
+        };
+        let m = SisMatrix::from_oracle(params, b"bench");
+        let mut col = vec![0u64; 16];
+        b.iter(|| {
+            m.column_into(black_box(3), &mut col);
+            black_box(&col);
+        })
     });
 
     c.bench_function("sis_add_scaled_column", |b| {

@@ -39,8 +39,9 @@ const CHUNK: usize = 4096;
 /// sampler rewrite, and the original nine cells keep their exact shape so
 /// the committed trajectory stays comparable. `m` varies per cell — the
 /// gauge is Mups, which normalizes by length — so the constant-factor-heavy
-/// algorithms (9 RNG words per update for `robust_hh`, a Pedersen digest
-/// per sampled update for `phi_eps_hh`) don't dominate wall-clock.
+/// algorithms (a `MedianMorris` re-estimate on nearly every update for
+/// `robust_hh` and `phi_eps_hh`, plus a Pedersen digest per sampled update
+/// for `phi_eps_hh`) don't dominate wall-clock.
 const MATRIX: &[(&str, &str, u32)] = &[
     ("uniform", "misra_gries", 20),
     ("uniform", "count_min", 20),

@@ -19,6 +19,18 @@
 //!   *scaling* statement measured by the attack experiments, not a
 //!   production security claim (see DESIGN.md §3).
 //!
+//! **Evaluation cost.** `g` and `h` never change, so [`PedersenHash`]
+//! precomputes a fixed-base window table for each at construction: entry
+//! `[w][d]` holds `g^{d·16^w} mod p`, for all sixteen 4-bit windows of a
+//! `u64` exponent. A compression is then one `mul_mod` per exponent digit
+//! — about 2 × 10 at the 40-bit parameters the sketches use — instead of
+//! two `pow_mod` square-and-multiply loops of about 60 each, and its value
+//! is bit-identical to `mul_mod(pow_mod(g, x₁, p), pow_mod(h, x₂, p), p)`
+//! for every input. The 4 KiB of tables are public constants derived from
+//! `(p, g, h)`; they are reported by [`PedersenHash::table_bits`], not by
+//! `space_bits`, so the space bounds the experiments measure stay the
+//! paper's.
+//!
 //! Everything is public — the white-box adversary sees `p, q, g, h` the
 //! moment they are generated. Collision resistance (unlike, say, a PRF key)
 //! survives publication: that is exactly why the paper reaches for CRHFs.
@@ -43,10 +55,29 @@ pub struct PedersenParams {
     pub h: u64,
 }
 
+/// Bits per window of the fixed-base tables.
+const WINDOW_BITS: u32 = 4;
+/// Entries per window: every 4-bit digit `0..16`.
+const WINDOW_SIZE: usize = 1 << WINDOW_BITS;
+/// Windows per table: enough for any `u64` exponent.
+const NUM_WINDOWS: usize = (u64::BITS / WINDOW_BITS) as usize;
+
+/// Fixed-base window table of one generator `b`: entry `[w][d]` is
+/// `b^{d·16^w} mod p`, so `b^e` is the product of one entry per 4-bit
+/// digit of `e`.
+type WindowTable = [[u64; WINDOW_SIZE]; NUM_WINDOWS];
+
 /// Fixed-input-length Pedersen hash `Z_q × Z_q → QR_p`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+///
+/// Construction precomputes the fixed-base window tables of `g` and `h`
+/// (see the module docs): 2 × 2 KiB inline, so the hash stays `Copy`. They
+/// are reported by [`PedersenHash::table_bits`], not by
+/// [`SpaceUsage::space_bits`].
+#[derive(Clone, Copy)]
 pub struct PedersenHash {
     params: PedersenParams,
+    g_table: WindowTable,
+    h_table: WindowTable,
 }
 
 impl PedersenHash {
@@ -63,14 +94,16 @@ impl PedersenHash {
                 break cand;
             }
         };
-        PedersenHash {
-            params: PedersenParams { p, q, g, h },
-        }
+        Self::from_params(PedersenParams { p, q, g, h })
     }
 
     /// Construct from existing public parameters.
     pub fn from_params(params: PedersenParams) -> Self {
-        PedersenHash { params }
+        PedersenHash {
+            params,
+            g_table: window_table(params.g, params.p),
+            h_table: window_table(params.h, params.p),
+        }
     }
 
     /// The public parameters.
@@ -78,16 +111,76 @@ impl PedersenHash {
         &self.params
     }
 
-    /// `g^{x₁} · h^{x₂} mod p`; requires `x₁, x₂ < q`.
+    /// `g^{x₁} · h^{x₂} mod p`. Collision resistance is over inputs
+    /// `x₁, x₂ < q`, but the tables cover all 64 exponent bits, so the value
+    /// equals `mul_mod(pow_mod(g, x₁, p), pow_mod(h, x₂, p), p)` for every
+    /// `u64` input.
     pub fn compress(&self, x1: u64, x2: u64) -> u64 {
-        debug_assert!(x1 < self.params.q && x2 < self.params.q);
-        mul_mod(
-            pow_mod(self.params.g, x1, self.params.p),
-            pow_mod(self.params.h, x2, self.params.p),
-            self.params.p,
-        )
+        let gx = self.fixed_pow(&self.g_table, x1);
+        let hx = self.fixed_pow(&self.h_table, x2);
+        mul_mod(gx, hx, self.params.p)
+    }
+
+    /// `b^e mod p` from `b`'s window table: one product per 4-bit digit,
+    /// stopping at the exponent's own bit length.
+    #[inline]
+    fn fixed_pow(&self, table: &WindowTable, e: u64) -> u64 {
+        let mut acc = table[0][(e % WINDOW_SIZE as u64) as usize];
+        let mut rest = e >> WINDOW_BITS;
+        let mut w = 1;
+        while rest != 0 {
+            acc = mul_mod(
+                acc,
+                table[w][(rest % WINDOW_SIZE as u64) as usize],
+                self.params.p,
+            );
+            rest >>= WINDOW_BITS;
+            w += 1;
+        }
+        acc
+    }
+
+    /// Memory of the two precomputed window tables, in bits. They are
+    /// public constants computed from the parameters, so
+    /// [`SpaceUsage::space_bits`] does not include them.
+    pub fn table_bits(&self) -> u64 {
+        2 * (NUM_WINDOWS * WINDOW_SIZE) as u64 * u64::from(u64::BITS)
     }
 }
+
+/// The window table of `base` modulo `p`.
+fn window_table(base: u64, p: u64) -> WindowTable {
+    let mut table = [[0u64; WINDOW_SIZE]; NUM_WINDOWS];
+    // `step` is `base^{16^w}` while row `w` is filled.
+    let mut step = base % p;
+    for row in table.iter_mut() {
+        let mut acc = 1 % p;
+        for entry in row.iter_mut() {
+            *entry = acc;
+            acc = mul_mod(acc, step, p);
+        }
+        step = acc;
+    }
+    table
+}
+
+impl std::fmt::Debug for PedersenHash {
+    /// The parameters only: the tables are a function of them.
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("PedersenHash")
+            .field("params", &self.params)
+            .finish_non_exhaustive()
+    }
+}
+
+impl PartialEq for PedersenHash {
+    /// Equal parameters imply equal tables.
+    fn eq(&self, other: &Self) -> bool {
+        self.params == other.params
+    }
+}
+
+impl Eq for PedersenHash {}
 
 impl SpaceUsage for PedersenHash {
     /// Public parameters: four residues mod `p`.
@@ -110,6 +203,11 @@ impl SpaceUsage for PedersenHash {
 pub struct PedersenMd {
     inner: PedersenHash,
 }
+
+/// Public Merkle–Damgård IV.
+const MD_IV: u64 = 1;
+/// Block of the final, unfolded compression.
+const MD_FINAL: u64 = 0x5A5A_5A5A;
 
 impl PedersenMd {
     /// Generate fresh public parameters (see [`PedersenHash::generate`]).
@@ -137,34 +235,45 @@ impl PedersenMd {
     /// chained through the compression function, and finished with a length
     /// block (Merkle–Damgård strengthening).
     pub fn hash_words(&self, words: &[u64]) -> u64 {
-        let q = self.inner.params.q;
-        let mut state = 1u64 % q; // public IV
-        let absorb = |state: &mut u64, block: u64| {
-            *state = self.inner.compress(*state, block) % q;
-        };
-        for &w in words {
-            absorb(&mut state, w >> 32);
-            absorb(&mut state, w & 0xFFFF_FFFF);
-        }
-        absorb(&mut state, words.len() as u64 & 0xFFFF_FFFF);
-        // Final output: full group element (not folded), so the output
-        // universe is [1, p).
-        self.inner.compress(state, 0x5A5A_5A5A)
+        let state = words
+            .iter()
+            .fold(MD_IV, |state, &w| self.absorb_word(state, w));
+        self.finish(state, words.len() as u64)
     }
 
     /// Hash arbitrary bytes (packed big-endian into u64 words, with the byte
-    /// length absorbed, so `"ab" ‖ "c"` and `"a" ‖ "bc"` differ).
+    /// length absorbed, so `"ab" ‖ "c"` and `"a" ‖ "bc"` differ). Equals
+    /// [`PedersenMd::hash_words`] of the packed words followed by the byte
+    /// length, chained without building that word vector.
     pub fn hash_bytes(&self, data: &[u8]) -> u64 {
-        let mut words: Vec<u64> = Vec::with_capacity(data.len() / 8 + 2);
-        for chunk in data.chunks(8) {
-            let mut w = 0u64;
-            for &b in chunk {
-                w = (w << 8) | b as u64;
-            }
-            words.push(w);
-        }
-        words.push(data.len() as u64);
-        self.hash_words(&words)
+        let chunks = data.chunks(8);
+        let words = chunks.len() as u64 + 1;
+        let state = chunks.fold(MD_IV, |state, chunk| {
+            let w = chunk.iter().fold(0u64, |w, &b| (w << 8) | u64::from(b));
+            self.absorb_word(state, w)
+        });
+        let state = self.absorb_word(state, data.len() as u64);
+        self.finish(state, words)
+    }
+
+    /// One chaining round: compress and fold the result into `Z_q`.
+    #[inline]
+    fn absorb(&self, state: u64, block: u64) -> u64 {
+        self.inner.compress(state, block) % self.inner.params.q
+    }
+
+    /// Absorb a word as its high then its low 32-bit half.
+    #[inline]
+    fn absorb_word(&self, state: u64, w: u64) -> u64 {
+        let state = self.absorb(state, w >> 32);
+        self.absorb(state, w & 0xFFFF_FFFF)
+    }
+
+    /// Absorb the word count (strengthening), then compress once more
+    /// without folding, so the output universe is `[1, p)`.
+    fn finish(&self, state: u64, words: u64) -> u64 {
+        let state = self.absorb(state, words & 0xFFFF_FFFF);
+        self.inner.compress(state, MD_FINAL)
     }
 
     /// Output width in bits (`⌈log₂ p⌉`).
@@ -174,6 +283,8 @@ impl PedersenMd {
 }
 
 impl SpaceUsage for PedersenMd {
+    /// The compression function's public parameters; its window tables are
+    /// reported separately by [`PedersenHash::table_bits`].
     fn space_bits(&self) -> u64 {
         self.inner.space_bits()
     }
@@ -324,6 +435,27 @@ mod tests {
         let lhs = h.compress((a + b) % q, (c + d) % q);
         let rhs = mul_mod(h.compress(a, c), h.compress(b, d), p);
         assert_eq!(lhs, rhs);
+    }
+
+    #[test]
+    fn table_compress_matches_pow_mod() {
+        let h = pedersen();
+        let PedersenParams { p, q, g, h: hh } = *h.params();
+        let edges = [0u64, 1, 15, 16, 0xFFFF_FFFF, q - 1, q, p, u64::MAX];
+        for &x1 in &edges {
+            for &x2 in &edges {
+                let want = mul_mod(pow_mod(g, x1, p), pow_mod(hh, x2, p), p);
+                assert_eq!(h.compress(x1, x2), want, "x1={x1} x2={x2}");
+            }
+        }
+    }
+
+    #[test]
+    fn tables_are_reported_apart_from_space() {
+        let h = pedersen();
+        assert_eq!(h.table_bits(), 2 * 16 * 16 * 64);
+        assert_eq!(h.space_bits(), 4 * 36);
+        assert_eq!(PedersenHash::from_params(*h.params()), h);
     }
 
     #[test]

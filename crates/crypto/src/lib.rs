@@ -20,7 +20,7 @@
 //! | [`prime`] | deterministic Miller–Rabin, prime/safe-prime generation, Pollard-rho factorization, multiplicative orders |
 //! | [`mod@sha256`] | FIPS 180-4 SHA-256, tested against official vectors |
 //! | [`oracle`] | the random oracle model of §2.3, instantiated with SHA-256 |
-//! | [`crhf`] | Pedersen compression + Merkle–Damgård (Theorem 2.5), and the streaming DL-exponent hash used for string fingerprints (§2.6) |
+//! | [`crhf`] | Pedersen compression over fixed-base window tables + Merkle–Damgård (Theorem 2.5), and the streaming DL-exponent hash used for string fingerprints (§2.6) |
 //! | [`sis`] | SIS matrices (explicit / oracle-backed), the streaming update primitive, and the attack toolbox (brute force, birthday, unbounded mod-q kernel) |
 //!
 //! Parameters are word-sized (≤ 62-bit moduli) by design: the experiments

@@ -70,16 +70,6 @@ impl RandomOracle {
             counter += 1;
         }
     }
-
-    /// A length-`dim` column of uniform `Z_q` elements for column index `j`.
-    ///
-    /// Position encoding is `j * dim + row`, so distinct `(j, row)` pairs
-    /// never collide for `dim > 0`.
-    pub fn zq_column(&self, j: u64, dim: usize, q: u64) -> Vec<u64> {
-        (0..dim as u64)
-            .map(|row| self.zq_at(j * dim as u64 + row, q))
-            .collect()
-    }
 }
 
 impl SpaceUsage for RandomOracle {
@@ -136,20 +126,6 @@ mod tests {
             (mean - expect).abs() < expect * 0.05,
             "mean {mean} vs {expect}"
         );
-    }
-
-    #[test]
-    fn columns_are_consistent_and_distinct() {
-        let o = RandomOracle::new(b"col");
-        let c0 = o.zq_column(0, 8, 97);
-        let c0_again = o.zq_column(0, 8, 97);
-        let c1 = o.zq_column(1, 8, 97);
-        assert_eq!(c0, c0_again, "oracle must answer consistently");
-        assert_ne!(c0, c1);
-        assert!(c0.iter().all(|&v| v < 97));
-        // Column j=1 must not overlap column j=0's entries by index sliding.
-        let boundary = o.zq_at(8, 97); // first entry of column 1 when dim=8
-        assert_eq!(c1[0], boundary);
     }
 
     #[test]

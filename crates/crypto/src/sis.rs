@@ -146,11 +146,27 @@ impl SisMatrix {
 
     /// Column `j` of `A` as a fresh vector.
     pub fn column(&self, j: usize) -> Vec<u64> {
+        let mut col = vec![0; self.params().d];
+        self.column_into(j, &mut col);
+        col
+    }
+
+    /// Writes column `j` of `A` into `out` (length `d`) without allocating.
+    /// In oracle mode this is `d` oracle queries, the same ones
+    /// [`SisMatrix::add_scaled_column`] makes, so a batch that rebuilds
+    /// each column once and reuses it sees exactly the entries a
+    /// per-update scan would.
+    pub fn column_into(&self, j: usize, out: &mut [u64]) {
         let p = *self.params();
         assert!(j < p.w, "column index out of range");
+        assert_eq!(out.len(), p.d, "column buffer must have length d");
         match self {
-            SisMatrix::Explicit { cols, .. } => cols[j].clone(),
-            SisMatrix::Oracle { oracle, .. } => oracle.zq_column(j as u64, p.d, p.q),
+            SisMatrix::Explicit { cols, .. } => out.copy_from_slice(&cols[j]),
+            SisMatrix::Oracle { oracle, .. } => {
+                for (row, v) in out.iter_mut().enumerate() {
+                    *v = oracle.zq_at(j as u64 * p.d as u64 + row as u64, p.q);
+                }
+            }
         }
     }
 
@@ -163,11 +179,7 @@ impl SisMatrix {
             return;
         }
         match self {
-            SisMatrix::Explicit { cols, .. } => {
-                for (a, &v) in acc.iter_mut().zip(&cols[j]) {
-                    *a = add_mod(*a, mul_mod(c, v, p.q), p.q);
-                }
-            }
+            SisMatrix::Explicit { cols, .. } => add_scaled(&cols[j], coeff, p.q, acc),
             SisMatrix::Oracle { oracle, .. } => {
                 for (row, a) in acc.iter_mut().enumerate() {
                     let v = oracle.zq_at(j as u64 * p.d as u64 + row as u64, p.q);
@@ -198,6 +210,20 @@ impl SpaceUsage for SisMatrix {
             SisMatrix::Explicit { .. } => p.d as u64 * p.w as u64 * bits_for_universe(p.q),
             SisMatrix::Oracle { oracle, .. } => oracle.space_bits(),
         }
+    }
+}
+
+/// `acc ← acc + coeff · col (mod q)` for a column already in hand (from
+/// [`SisMatrix::column_into`]); the same arithmetic as
+/// [`SisMatrix::add_scaled_column`].
+pub fn add_scaled(col: &[u64], coeff: i64, q: u64, acc: &mut [u64]) {
+    debug_assert_eq!(col.len(), acc.len());
+    let c = reduce_signed(coeff, q);
+    if c == 0 {
+        return;
+    }
+    for (a, &v) in acc.iter_mut().zip(col) {
+        *a = add_mod(*a, mul_mod(c, v, q), q);
     }
 }
 
@@ -414,6 +440,37 @@ mod tests {
         let mut acc = vec![0u64; params.d];
         m.add_scaled_column(2, 1, &mut acc);
         assert_eq!(acc, c2a);
+        // Entry (row, j) is oracle position j·d + row, so neighbouring
+        // columns neither repeat nor overlap.
+        let oracle = RandomOracle::new(b"sis-test");
+        assert_eq!(c2a[0], oracle.zq_at(2 * params.d as u64, params.q));
+        assert_eq!(m.column(3)[0], oracle.zq_at(3 * params.d as u64, params.q));
+        assert_ne!(m.column(3), c2a);
+    }
+
+    #[test]
+    fn column_into_and_add_scaled_match_add_scaled_column() {
+        let params = toy_params();
+        let mut rng = TranscriptRng::from_seed(3);
+        for m in [
+            SisMatrix::random_explicit(params, &mut rng),
+            SisMatrix::from_oracle(params, b"cols"),
+        ] {
+            let mut col = vec![0u64; params.d];
+            for j in 0..params.w {
+                m.column_into(j, &mut col);
+                let mut unit = vec![0u64; params.d];
+                m.add_scaled_column(j, 1, &mut unit);
+                assert_eq!(col, unit);
+                for coeff in [-200i64, -97, -1, 0, 1, 5, 96, 97, 1000] {
+                    let mut want = vec![7u64; params.d];
+                    let mut got = want.clone();
+                    m.add_scaled_column(j, coeff, &mut want);
+                    add_scaled(&col, coeff, params.q, &mut got);
+                    assert_eq!(got, want, "column {j}, coeff {coeff}");
+                }
+            }
+        }
     }
 
     #[test]

@@ -15,13 +15,22 @@
 //! Hence `N ≤ L0 ≤ N·n^ε` at every point of the stream. With the matrix
 //! regenerated from the random oracle the space is `Õ(n^{1−ε+cε})`;
 //! storing `A` explicitly adds the `Õ(n^{(1+c)ε})` term.
+//!
+//! **Update cost.** In random-oracle mode every entry of `A` is one
+//! SHA-256 query, so the cost of an update is rebuilding its `d`-entry
+//! column. A batch touches at most `n^ε` distinct columns however many
+//! items it holds (each chunk of items reuses the same columns), so the
+//! batched kernel sorts its aggregated deltas by column and rebuilds each
+//! column once per batch (see `process_batch`). The sorted runs and the
+//! column buffer are batch scratch, not sketch state: snapshots and
+//! `space_bits` skip them.
 
 use wb_core::rng::TranscriptRng;
 use wb_core::snap::{SnapError, SnapReader, SnapWriter, Snapshot};
 use wb_core::space::{bits_for_count, bits_for_universe, SpaceUsage};
 use wb_core::stream::{RunAggregator, StreamAlg, Turnstile};
 use wb_crypto::prime::is_prime;
-use wb_crypto::sis::{SisMatrix, SisParams};
+use wb_crypto::sis::{add_scaled, SisMatrix, SisParams};
 
 /// How the SIS matrix is materialized.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -51,6 +60,12 @@ pub struct SisL0Estimator {
     agg: RunAggregator<i128>,
     /// Batch scratch: chunks whose sketch changed this batch.
     dirty: Vec<usize>,
+    /// Batch scratch: `(column, chunk, coefficient)` of every nonzero
+    /// aggregated run, sorted by column so each column of `A` is rebuilt
+    /// once per batch.
+    by_column: Vec<(usize, usize, i64)>,
+    /// Batch scratch: the column of `A` being applied (length `d`).
+    column: Vec<u64>,
 }
 
 impl SisL0Estimator {
@@ -96,6 +111,8 @@ impl SisL0Estimator {
             nonzero_chunks: 0,
             agg: RunAggregator::new(),
             dirty: Vec::new(),
+            by_column: Vec::new(),
+            column: Vec::new(),
         }
     }
 
@@ -116,6 +133,8 @@ impl SisL0Estimator {
             nonzero_chunks: 0,
             agg: RunAggregator::new(),
             dirty: Vec::new(),
+            by_column: Vec::new(),
+            column: Vec::new(),
             matrix,
         }
     }
@@ -291,16 +310,23 @@ impl StreamAlg for SisL0Estimator {
 
     /// Batched turnstile ingestion. The sketch is `Z_q`-linear in the
     /// frequency vector, so per-item deltas may be summed before touching
-    /// `A` — one `add_scaled_column` per distinct item — and the nonzero
-    /// bookkeeping recounted once per *dirty chunk* instead of once per
-    /// update. Both are pure functions of the final sketch values, so the
-    /// end state is bit-identical to the scalar loop (which draws no
+    /// `A`, and the sums may be applied in any order. The kernel applies
+    /// them column by column: the nonzero runs are sorted by column index
+    /// `item % chunk_w`, each column is rebuilt once (in oracle mode, `d`
+    /// SHA-256 queries) and added, scaled, into every chunk sketch that
+    /// uses it. The nonzero bookkeeping is recounted once per *dirty
+    /// chunk* instead of once per update. Addition mod `q` commutes and
+    /// the bookkeeping is a pure function of the final sketch values, so
+    /// the end state is bit-identical to the scalar loop (which draws no
     /// randomness, making the transcript trivially identical too).
     fn process_batch(&mut self, updates: &[Turnstile], _rng: &mut TranscriptRng) {
         let d = self.matrix.params().d;
         let q = self.matrix.params().q;
         let mut agg = std::mem::take(&mut self.agg);
         let mut dirty = std::mem::take(&mut self.dirty);
+        let mut by_column = std::mem::take(&mut self.by_column);
+        let mut column = std::mem::take(&mut self.column);
+        column.resize(d, 0);
         // Segmented to respect the aggregator's 2^24-pair batch cap.
         for part in updates.chunks(1 << 20) {
             agg.begin(part.len());
@@ -311,6 +337,7 @@ impl StreamAlg for SisL0Estimator {
                 agg.add(u.item, i128::from(u.delta));
             }
             dirty.clear();
+            by_column.clear();
             for &(item, delta) in agg.runs() {
                 let coeff = (delta % i128::from(q)) as i64;
                 if coeff == 0 {
@@ -318,12 +345,20 @@ impl StreamAlg for SisL0Estimator {
                 }
                 let chunk = (item / self.chunk_w as u64) as usize;
                 let k = (item % self.chunk_w as u64) as usize;
-                self.matrix.add_scaled_column(
-                    k,
-                    coeff,
-                    &mut self.sketches[chunk * d..(chunk + 1) * d],
-                );
+                by_column.push((k, chunk, coeff));
                 dirty.push(chunk);
+            }
+            by_column.sort_unstable_by_key(|&(k, ..)| k);
+            for group in by_column.chunk_by(|a, b| a.0 == b.0) {
+                self.matrix.column_into(group[0].0, &mut column);
+                for &(_, chunk, coeff) in group {
+                    add_scaled(
+                        &column,
+                        coeff,
+                        q,
+                        &mut self.sketches[chunk * d..(chunk + 1) * d],
+                    );
+                }
             }
             dirty.sort_unstable();
             dirty.dedup();
@@ -343,6 +378,8 @@ impl StreamAlg for SisL0Estimator {
         }
         self.agg = agg;
         self.dirty = dirty;
+        self.by_column = by_column;
+        self.column = column;
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) -> Result<(), SnapError> {

@@ -9,6 +9,7 @@ use proptest::prelude::*;
 use wbstream::core::rng::TranscriptRng;
 use wbstream::engine::registry::{self, Params};
 use wbstream::engine::Update;
+use wbstream::sketch::l0::{MatrixMode, SisL0Estimator};
 
 /// Insertion-only update stream over a small universe (all algorithms can
 /// ingest these; turnstile-capable ones see them as unit insertions).
@@ -27,11 +28,22 @@ fn turnstile_updates(raw: &[(u64, i64)]) -> Vec<Update> {
 }
 
 /// Feed `updates` to a fresh `name` instance sequentially and chunked;
-/// assert identical answers, space, and transcripts.
+/// assert identical answers, space, snapshots, and transcripts.
 fn assert_equivalent(name: &str, updates: &[Update], chunk: usize, seed: u64) {
     let params = Params::default().with_n(64).with_m_guess(1 << 10);
-    let mut seq = registry::get(name, &params).unwrap();
-    let mut bat = registry::get(name, &params).unwrap();
+    assert_equivalent_with(&params, name, updates, chunk, seed);
+}
+
+/// [`assert_equivalent`] with explicit construction parameters.
+fn assert_equivalent_with(
+    params: &Params,
+    name: &str,
+    updates: &[Update],
+    chunk: usize,
+    seed: u64,
+) {
+    let mut seq = registry::get(name, params).unwrap();
+    let mut bat = registry::get(name, params).unwrap();
     let mut rng_seq = TranscriptRng::from_seed(seed);
     let mut rng_bat = TranscriptRng::from_seed(seed);
     for u in updates {
@@ -51,6 +63,11 @@ fn assert_equivalent(name: &str, updates: &[Update], chunk: usize, seed: u64) {
         seq.space_bits_dyn(),
         bat.space_bits_dyn(),
         "{name}: space accounting diverges at chunk {chunk}"
+    );
+    assert_eq!(
+        seq.snapshot_dyn().unwrap(),
+        bat.snapshot_dyn().unwrap(),
+        "{name}: snapshots diverge at chunk {chunk}"
     );
     assert_eq!(
         rng_seq.transcript().draws(),
@@ -240,5 +257,77 @@ fn registry_names_cover_both_models() {
     assert!(names.len() >= 8);
     for t in TURNSTILE {
         assert!(names.contains(t), "{t} missing from registry");
+    }
+}
+
+/// `phi_eps_hh` on a stream of three items: every sampled occurrence
+/// repeats a digest already counted, in both live instances, across
+/// ladder promotions.
+#[test]
+fn phi_eps_hh_few_distinct_matches_sequential() {
+    let items: Vec<u64> = (0..6000u64)
+        .map(|t| [3, 17, 3, 41][(t % 4) as usize])
+        .collect();
+    let updates = insert_updates(&items);
+    for chunk in [1, 7, 4096, usize::MAX] {
+        assert_equivalent("phi_eps_hh", &updates, chunk, 31);
+    }
+}
+
+/// `phi_eps_hh` on one all-distinct batch of 10,000 sampled items: every
+/// sampled update computes a fresh digest.
+#[test]
+fn phi_eps_hh_all_distinct_large_batch_matches_sequential() {
+    let params = Params::default().with_n(1 << 20).with_m_guess(1 << 14);
+    let items: Vec<u64> = (0..10_000u64)
+        .map(|t| t.wrapping_mul(2654435761) % (1 << 20))
+        .collect();
+    let updates = insert_updates(&items);
+    assert_equivalent_with(&params, "phi_eps_hh", &updates, usize::MAX, 37);
+}
+
+/// `sis_l0` with 64 items per SIS column (universe 4096, chunk width 64)
+/// and per-batch deltas that cancel exactly or sum to a multiple of `q`,
+/// in both matrix modes: the column-major kernel must skip the zero
+/// coefficients and still recount the chunks they sit in.
+#[test]
+fn sis_l0_shared_columns_and_cancellation_match_sequential() {
+    let q = {
+        let mut rng = TranscriptRng::from_seed(0);
+        let est = SisL0Estimator::new(4096, 0.5, 0.25, MatrixMode::Explicit, &mut rng);
+        assert_eq!(est.approximation_factor(), 64);
+        est.matrix().params().q as i64
+    };
+    let mut updates = Vec::new();
+    for round in 0..3u64 {
+        for item in (0..4096u64).step_by(3) {
+            let delta = match (item + round) % 5 {
+                0 => 2,
+                1 => -1,
+                2 => q - 5,
+                3 => 7,
+                _ => -(q / 2),
+            };
+            updates.push(Update::Turnstile { item, delta });
+        }
+        // Complete every other item's batch total to 0 mod q: exact
+        // cancellations and integer sums of ±q.
+        for item in (0..4096u64).step_by(6) {
+            let delta = match (item + round) % 5 {
+                0 => -2,
+                1 => 1,
+                2 => 5,
+                3 => q - 7,
+                _ => q / 2 - q,
+            };
+            updates.push(Update::Turnstile { item, delta });
+        }
+    }
+    for random_oracle in [true, false] {
+        let mut params = Params::default().with_n(4096);
+        params.random_oracle = random_oracle;
+        for chunk in [7, 1500, usize::MAX] {
+            assert_equivalent_with(&params, "sis_l0", &updates, chunk, 41);
+        }
     }
 }
